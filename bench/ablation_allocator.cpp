@@ -12,29 +12,13 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "rapid/num/trisolve_app.hpp"
+#include "rapid/num/shm_workloads.hpp"
 #include "rapid/rt/sim_executor.hpp"
-#include "rapid/sched/liveness.hpp"
-#include "rapid/sched/mapping.hpp"
-#include "rapid/sched/ordering.hpp"
-#include "rapid/sparse/generators.hpp"
-#include "rapid/sparse/ordering.hpp"
 #include "rapid/support/str.hpp"
 
 using namespace rapid;
 
 namespace {
-
-struct Case {
-  std::string name;
-  // Owners: the run plan points into the app's task graph, so whichever app
-  // produced it must outlive the simulations.
-  std::shared_ptr<num::CholeskyApp> cholesky;
-  std::shared_ptr<num::LuApp> lu;
-  std::shared_ptr<num::TriSolveApp> trisolve;
-  rt::RunPlan plan;
-  std::int64_t min_mem = 0;
-};
 
 std::int64_t find_threshold(const rt::RunPlan& plan, std::int64_t min_mem,
                             mem::AllocPolicy policy,
@@ -80,62 +64,33 @@ int main(int argc, char** argv) {
       "threshold = smallest executable capacity; margin = threshold/MIN_MEM "
       "- 1 (the fragmentation tax)");
 
-  std::vector<Case> cases;
-  {
-    auto inst = bench::make_cholesky_instance(num::bcsstk24_like(scale), 16,
-                                              procs);
-    const auto s = bench::make_schedule(inst, bench::OrderingKind::kMpo);
-    Case c;
-    c.name = "cholesky (uniform blocks)";
-    c.cholesky = inst.cholesky;
-    c.plan = rt::build_run_plan(*inst.graph, s);
-    c.min_mem = bench::min_mem(inst, s);
-    cases.push_back(std::move(c));
-  }
-  {
-    auto inst =
-        bench::make_lu_instance(num::goodwin_like(scale * 0.6), 12, procs);
-    const auto s = bench::make_schedule(inst, bench::OrderingKind::kMpo);
-    Case c;
-    c.name = "LU (column blocks)";
-    c.lu = inst.lu;
-    c.plan = rt::build_run_plan(*inst.graph, s);
-    c.min_mem = bench::min_mem(inst, s);
-    cases.push_back(std::move(c));
-  }
-  {
-    const auto side = static_cast<sparse::Index>(24 * scale + 8);
-    sparse::CscMatrix a = sparse::grid_laplacian_2d(side, side);
-    a = a.permuted_symmetric(sparse::nested_dissection_2d(side, side));
-    auto app = std::make_shared<num::TriSolveApp>(
-        num::TriSolveApp::build(std::move(a), 6, procs));
-    const auto assignment = sched::owner_compute_tasks(app->graph(), procs);
-    const auto s =
-        sched::schedule_mpo(app->graph(), assignment, procs, params);
-    Case c;
-    c.name = "trisolve (mixed sizes)";
-    c.trisolve = app;
-    c.plan = rt::build_run_plan(app->graph(), s);
-    c.min_mem = sched::analyze_liveness(app->graph(), s).min_mem();
-    cases.push_back(std::move(c));
-  }
+  const auto side = static_cast<sparse::Index>(24 * scale + 8);
+  const std::pair<const char*, std::string> cases[] = {
+      {"cholesky (uniform blocks)",
+       num::matrix_spec("cholesky", "bcsstk24", scale, 16, procs, "mpo")},
+      {"LU (column blocks)",
+       num::matrix_spec("lu", "goodwin", scale * 0.6, 12, procs, "mpo")},
+      {"trisolve (mixed sizes)",
+       cat("trisolve:grid=", side, ",block=6,procs=", procs, ",sched=mpo")},
+  };
 
   TextTable table({"workload", "MIN_MEM", "first-fit margin",
                    "best-fit margin"});
-  for (const Case& c : cases) {
-    const std::int64_t ff =
-        find_threshold(c.plan, c.min_mem, mem::AllocPolicy::kFirstFit, params);
-    const std::int64_t bf =
-        find_threshold(c.plan, c.min_mem, mem::AllocPolicy::kBestFit, params);
+  for (const auto& [name, spec] : cases) {
+    const auto w = num::build_shm_workload(spec);
+    const std::int64_t ff = find_threshold(
+        w->plan, w->min_mem, mem::AllocPolicy::kFirstFit, params);
+    const std::int64_t bf = find_threshold(
+        w->plan, w->min_mem, mem::AllocPolicy::kBestFit, params);
     auto margin = [&](std::int64_t threshold) {
-      return fixed(100.0 * (static_cast<double>(threshold) / c.min_mem - 1.0),
+      return fixed(100.0 * (static_cast<double>(threshold) / w->min_mem - 1.0),
                    2) +
              "%";
     };
-    table.add_row({c.name, human_bytes(static_cast<double>(c.min_mem)),
+    table.add_row({name, human_bytes(static_cast<double>(w->min_mem)),
                    margin(ff), margin(bf)});
   }
-  bench::emit_table(flags, "ablation_allocator", table);
+  std::fputs(table.render().c_str(), stdout);
   std::printf(
       "\nexpected shape: ~0%% margin for uniform-size objects; a small but "
       "real margin\nfor mixed sizes — the reason the paper's conclusion "

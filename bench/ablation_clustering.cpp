@@ -23,24 +23,21 @@ void run_panel(const char* title, bool lu, double scale, sparse::Index block,
                    "DSC clusters (raw->closed)"});
   for (const auto p : procs) {
     const int np = static_cast<int>(p);
-    const num::Workload workload =
-        lu ? num::goodwin_like(scale) : num::bcsstk24_like(scale);
-    // Owner-compute path (the instance builders assign cyclic owners).
+    // Owner-compute path (the apps assign cyclic owners).
     const bench::Instance inst =
-        lu ? bench::make_lu_instance(workload, block, np)
-           : bench::make_cholesky_instance(workload, block, np);
+        bench::make_instance(lu ? "lu" : "cholesky",
+                             lu ? "goodwin" : "bcsstk24", scale, block, np);
     const auto oc = bench::make_schedule(inst, bench::OrderingKind::kMpo);
     const auto oc_mem = bench::min_mem(inst, oc);
     // DSC path: recluster the same graph, remap owners, reorder.
     sched::DscStats stats;
+    // The LPT mapping restamps owners, so it works on a copy of the graph.
+    graph::TaskGraph graph = inst.graph();
     const sched::Clustering clusters =
-        sched::dsc_clusters(*inst.graph, inst.params, &stats);
-    const auto dsc_procs =
-        sched::map_clusters_lpt(*inst.graph, clusters, np);
-    const auto dsc = sched::schedule_mpo(*inst.graph, dsc_procs, np,
-                                         inst.params);
-    const auto dsc_mem =
-        sched::analyze_liveness(*inst.graph, dsc).min_mem();
+        sched::dsc_clusters(graph, inst.params, &stats);
+    const auto dsc_procs = sched::map_clusters_lpt(graph, clusters, np);
+    const auto dsc = sched::schedule_mpo(graph, dsc_procs, np, inst.params);
+    const auto dsc_mem = sched::analyze_liveness(graph, dsc).min_mem();
     table.add_row({std::to_string(p),
                    fixed(oc.predicted_makespan / 1e3, 1) + " ms",
                    fixed(dsc.predicted_makespan / 1e3, 1) + " ms",

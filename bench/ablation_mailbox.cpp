@@ -20,22 +20,21 @@ int main(int argc, char** argv) {
   const auto block = static_cast<sparse::Index>(flags.get_int("block"));
   const auto procs = flags.get_int_list("procs");
 
-  const num::Workload workload = num::bcsstk24_like(scale);
   bench::print_header(
       "Ablation: address-package buffering (mailbox slots per processor "
       "pair)",
-      workload.name,
+      num::bcsstk24_like(scale).name,
       "parallel time at 50% of TOT (RCP), relative to the 1-slot design the "
       "paper uses");
 
   TextTable table({"p", "1 slot (paper)", "2 slots", "4 slots", "unbounded"});
   for (const auto p : procs) {
-    const bench::Instance inst =
-        bench::make_cholesky_instance(workload, block, static_cast<int>(p));
+    const bench::Instance inst = bench::make_instance(
+        "cholesky", "bcsstk24", scale, block, static_cast<int>(p));
     const auto schedule = bench::make_schedule(inst, bench::OrderingKind::kRcp);
     const auto capacity = static_cast<std::int64_t>(
         static_cast<double>(bench::tot_mem(inst, schedule)) * 0.5);
-    const rt::RunPlan plan = rt::build_run_plan(*inst.graph, schedule);
+    const rt::RunPlan plan = rt::build_run_plan(inst.graph(), schedule);
     double base_time = 0.0;
     std::vector<std::string> row = {std::to_string(p)};
     for (std::int32_t slots : {1, 2, 4, 1 << 20}) {

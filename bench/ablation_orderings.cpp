@@ -15,13 +15,11 @@ namespace {
 
 void run_panel(const char* title, bool lu, double scale, sparse::Index block,
                int procs, JsonValue& panels) {
-  const num::Workload workload =
-      lu ? num::goodwin_like(scale) : num::bcsstk24_like(scale);
-  const bench::Instance inst =
-      lu ? bench::make_lu_instance(workload, block, procs)
-         : bench::make_cholesky_instance(workload, block, procs);
-  std::printf("--- %s (%s, p = %d) ---\n", title, workload.name.c_str(),
-              procs);
+  const bench::Instance inst = bench::make_instance(
+      lu ? "lu" : "cholesky", lu ? "goodwin" : "bcsstk24", scale, block,
+      procs);
+  std::printf("--- %s (%s, p = %d) ---\n", title,
+              lu ? "goodwin-like" : "bcsstk24-like", procs);
 
   const auto rcp = bench::make_schedule(inst, bench::OrderingKind::kRcp);
   const auto mpo = bench::make_schedule(inst, bench::OrderingKind::kMpo);

@@ -14,7 +14,7 @@
 
 #include "common.hpp"
 #include "rapid/num/dispatch.hpp"
-#include "rapid/num/reference.hpp"
+#include "rapid/num/shm_workloads.hpp"
 #include "rapid/obs/metrics.hpp"
 #include "rapid/obs/trace.hpp"
 #include "rapid/rt/threaded_executor.hpp"
@@ -47,21 +47,20 @@ struct RunStats {
 /// Runs the plan `repeats` times on the threaded executor; wall time is the
 /// executor's own measurement (threads only, no plan building). The first
 /// repeat's numerics are checked against the dense reference.
-RunStats run_threaded(const bench::Instance& inst, const rt::RunPlan& plan,
-                      std::int64_t capacity, bool active, int repeats,
+RunStats run_threaded(const num::ShmWorkload& wl, std::int64_t capacity,
+                      bool active, int repeats,
                       const rt::FaultPlan& faults = {}, bool checksum = true,
                       bool recovery = false, bool traced = false,
                       bool slab = true,
                       rt::TransportKind transport = rt::TransportKind::kInProc) {
+  const rt::RunPlan& plan = wl.plan;
   rt::RunConfig config;
-  config.params = inst.params;
+  config.params = machine::MachineParams::cray_t3d(plan.num_procs);
   config.capacity_per_proc = capacity;
   config.active_memory = active;
   config.slab_arena = slab;
-  const rt::ObjectInit init =
-      inst.cholesky ? inst.cholesky->make_init() : inst.lu->make_init();
-  const rt::TaskBody body =
-      inst.cholesky ? inst.cholesky->make_body() : inst.lu->make_body();
+  const rt::ObjectInit init = wl.make_init();
+  const rt::TaskBody body = wl.make_body();
   rt::ThreadedOptions options;
   options.faults = faults;
   options.checksum = checksum;
@@ -75,7 +74,7 @@ RunStats run_threaded(const bench::Instance& inst, const rt::RunPlan& plan,
     // must outlive run(), so it is scoped to the repeat, not the executor.
     std::unique_ptr<obs::Trace> trace;
     if (traced) {
-      trace = std::make_unique<obs::Trace>(inst.num_procs);
+      trace = std::make_unique<obs::Trace>(plan.num_procs);
       options.trace = trace.get();
     }
     rt::ThreadedExecutor exec(plan, config, init, body, options);
@@ -85,13 +84,7 @@ RunStats run_threaded(const bench::Instance& inst, const rt::RunPlan& plan,
       return stats;  // caller escalates capacity
     }
     if (rep == 0) {
-      if (inst.cholesky) {
-        stats.residual = num::cholesky_residual(
-            inst.cholesky->matrix(), inst.cholesky->extract_l_dense(exec));
-      } else {
-        const auto ex = inst.lu->extract(exec);
-        stats.residual = num::lu_residual(inst.lu->matrix(), ex.lu, ex.piv);
-      }
+      stats.residual = wl.residual(exec);
       if (stats.residual >= 1e-8) {
         stats.numerics_ok = false;
         std::fprintf(stderr, "numerically wrong run, residual %g\n",
@@ -257,25 +250,17 @@ int main(int argc, char** argv) {
   try {
   for (const std::int64_t p64 : flags.get_int_list("procs")) {
     const int p = static_cast<int>(p64);
-    std::vector<bench::Instance> instances;
-    if (which == "cholesky" || which == "both") {
-      instances.push_back(
-          bench::make_cholesky_instance(num::bcsstk24_like(scale), block, p));
-    }
-    if (which == "lu" || which == "both") {
-      instances.push_back(
-          bench::make_lu_instance(num::goodwin_like(scale), block, p));
-    }
-    for (const bench::Instance& inst : instances) {
-      const std::string workload = cat(inst.cholesky ? "chol/" : "lu/",
-                                       inst.name);
-      const auto schedule = bench::make_schedule(inst, bench::OrderingKind::kRcp);
-      const rt::RunPlan plan = rt::build_run_plan(*inst.graph, schedule);
-      const std::int64_t tot = bench::tot_mem(inst, schedule);
-      const std::int64_t min = bench::min_mem(inst, schedule);
+    for (const auto& [name, workload] :
+         {std::pair{"cholesky", "chol/bcsstk24-like"},
+          std::pair{"lu", "lu/goodwin-like"}}) {
+      if (which != name && which != "both") continue;
+      const auto wl =
+          num::build_shm_workload(num::seed_spec(name, scale, block, p));
+      const std::int64_t tot = wl->tot_mem;
+      const std::int64_t min = wl->min_mem;
 
       const RunStats base =
-          run_threaded(inst, plan, tot, false, repeats, {}, checksum,
+          run_threaded(*wl, tot, false, repeats, {}, checksum,
                        /*recovery=*/false, /*traced=*/false, slab, transport);
       // Fragmentation and 8-byte alignment put the practical floor above
       // MIN_MEM; escalate the capacity fraction until the run executes.
@@ -285,7 +270,7 @@ int main(int argc, char** argv) {
       for (;; used_frac += 0.1) {
         active_cap = std::max(
             min, static_cast<std::int64_t>(used_frac * static_cast<double>(tot)));
-        act = run_threaded(inst, plan, active_cap, true, repeats, faults,
+        act = run_threaded(*wl, active_cap, true, repeats, faults,
                            checksum, /*recovery=*/false, /*traced=*/false,
                            slab, transport);
         if (act.report.executable) break;
@@ -300,7 +285,7 @@ int main(int argc, char** argv) {
         // the delta against the "active" row is the recovery overhead on a
         // clean run (deadline bookkeeping; checksums are governed by
         // --checksum in both rows).
-        rec = run_threaded(inst, plan, active_cap, true, repeats, faults,
+        rec = run_threaded(*wl, active_cap, true, repeats, faults,
                            checksum, /*recovery=*/true, /*traced=*/false,
                            slab, transport);
       }
@@ -309,7 +294,7 @@ int main(int argc, char** argv) {
         // Same plan and capacity with the event tracer armed: the delta
         // against the "active" row is the tracing overhead (the guard for
         // the "within 10% of untraced" budget in docs/OBSERVABILITY.md).
-        trc = run_threaded(inst, plan, active_cap, true, repeats, faults,
+        trc = run_threaded(*wl, active_cap, true, repeats, faults,
                            checksum, recovery, /*traced=*/true, slab,
                            transport);
         if (trc.conformance_errors > 0) guard_failed = true;

@@ -29,6 +29,7 @@
 #include "rapid/obs/telemetry.hpp"
 #include "rapid/rt/shm_health.hpp"
 #include "rapid/support/exit_codes.hpp"
+#include "rapid/support/file.hpp"
 #include "rapid/support/flags.hpp"
 #include "rapid/support/json.hpp"
 #include "rapid/support/stopwatch.hpp"
@@ -300,12 +301,7 @@ int main(int argc, char** argv) {
     }
     doc["rows"] = std::move(rows);
     if (!flags.get("json").empty()) {
-      std::FILE* f = std::fopen(flags.get("json").c_str(), "w");
-      RAPID_CHECK(f != nullptr,
-                  cat("cannot open --json path ", flags.get("json")));
-      const std::string text = doc.dump();
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
+      write_file(flags.get("json"), doc.dump());
       std::printf("\njson results written to %s\n",
                   flags.get("json").c_str());
     }

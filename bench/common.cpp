@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "rapid/num/shm_workloads.hpp"
 #include "rapid/rt/sim_executor.hpp"
 #include "rapid/sched/mapping.hpp"
 #include "rapid/sched/ordering.hpp"
+#include "rapid/support/file.hpp"
 #include "rapid/support/str.hpp"
 #include "rapid/verify/auditor.hpp"
 
@@ -25,30 +27,13 @@ const char* ordering_name(OrderingKind kind) {
   return "?";
 }
 
-Instance make_cholesky_instance(const num::Workload& workload,
-                                sparse::Index block, int procs) {
+Instance make_instance(std::string_view app, std::string_view matrix,
+                       double scale, sparse::Index block, int procs) {
   Instance inst;
-  inst.name = workload.name;
   inst.num_procs = procs;
-  auto matrix = workload.matrix;
-  inst.cholesky = std::make_shared<num::CholeskyApp>(
-      num::CholeskyApp::build(std::move(matrix), block, procs));
-  inst.graph = &inst.cholesky->mutable_graph();
-  inst.assignment = sched::owner_compute_tasks(*inst.graph, procs);
-  inst.params = machine::MachineParams::cray_t3d(procs);
-  return inst;
-}
-
-Instance make_lu_instance(const num::Workload& workload, sparse::Index block,
-                          int procs) {
-  Instance inst;
-  inst.name = workload.name;
-  inst.num_procs = procs;
-  auto matrix = workload.matrix;
-  inst.lu = std::make_shared<num::LuApp>(
-      num::LuApp::build(std::move(matrix), block, procs));
-  inst.graph = &inst.lu->mutable_graph();
-  inst.assignment = sched::owner_compute_tasks(*inst.graph, procs);
+  inst.app = num::build_app(
+      num::matrix_spec(app, matrix, scale, block, procs));
+  inst.assignment = sched::owner_compute_tasks(inst.graph(), procs);
   inst.params = machine::MachineParams::cray_t3d(procs);
   return inst;
 }
@@ -57,18 +42,18 @@ sched::Schedule make_schedule(const Instance& instance, OrderingKind kind,
                               std::optional<std::int64_t> volatile_budget) {
   switch (kind) {
     case OrderingKind::kRcp:
-      return sched::schedule_rcp(*instance.graph, instance.assignment,
+      return sched::schedule_rcp(instance.graph(), instance.assignment,
                                  instance.num_procs, instance.params);
     case OrderingKind::kMpo:
-      return sched::schedule_mpo(*instance.graph, instance.assignment,
+      return sched::schedule_mpo(instance.graph(), instance.assignment,
                                  instance.num_procs, instance.params);
     case OrderingKind::kDts:
-      return sched::schedule_dts(*instance.graph, instance.assignment,
+      return sched::schedule_dts(instance.graph(), instance.assignment,
                                  instance.num_procs, instance.params);
     case OrderingKind::kDtsMerged:
       RAPID_CHECK(volatile_budget.has_value(),
                   "DTS+merge needs a volatile budget");
-      return sched::schedule_dts(*instance.graph, instance.assignment,
+      return sched::schedule_dts(instance.graph(), instance.assignment,
                                  instance.num_procs, instance.params,
                                  volatile_budget);
   }
@@ -77,7 +62,7 @@ sched::Schedule make_schedule(const Instance& instance, OrderingKind kind,
 
 SimResult run_sim(const Instance& instance, const sched::Schedule& schedule,
                   std::int64_t capacity, bool active_memory) {
-  const rt::RunPlan plan = rt::build_run_plan(*instance.graph, schedule);
+  const rt::RunPlan plan = rt::build_run_plan(instance.graph(), schedule);
   // Auditor pre-check: a table entry is only trustworthy if the plan obeys
   // the Theorem 1 preconditions. Capacity findings are deliberately not
   // checked here — infeasible capacities are what the sweeps measure (the
@@ -86,7 +71,7 @@ SimResult run_sim(const Instance& instance, const sched::Schedule& schedule,
     verify::AuditOptions audit_options;
     audit_options.capacity_per_proc = 0;
     const verify::AuditReport audit =
-        verify::audit_plan(*instance.graph, schedule, plan, audit_options);
+        verify::audit_plan(instance.graph(), schedule, plan, audit_options);
     RAPID_CHECK(audit.clean(), audit.to_string());
   }
   rt::RunConfig config;
@@ -110,17 +95,17 @@ SimResult run_baseline(const Instance& instance,
 
 std::int64_t tot_mem(const Instance& instance,
                      const sched::Schedule& schedule) {
-  return sched::analyze_liveness(*instance.graph, schedule).tot_mem();
+  return sched::analyze_liveness(instance.graph(), schedule).tot_mem();
 }
 
 std::int64_t min_mem(const Instance& instance,
                      const sched::Schedule& schedule) {
-  return sched::analyze_liveness(*instance.graph, schedule).min_mem();
+  return sched::analyze_liveness(instance.graph(), schedule).min_mem();
 }
 
 std::int64_t max_permanent_bytes(const Instance& instance,
                                  const sched::Schedule& schedule) {
-  const auto liveness = sched::analyze_liveness(*instance.graph, schedule);
+  const auto liveness = sched::analyze_liveness(instance.graph(), schedule);
   std::int64_t worst = 0;
   for (const auto& p : liveness.procs) {
     worst = std::max(worst, p.permanent_bytes);
@@ -174,11 +159,7 @@ JsonValue table_to_json(const TextTable& table) {
 bool write_json_file(const Flags& flags, const JsonValue& doc) {
   const std::string path = flags.get("json");
   if (path.empty()) return false;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  RAPID_CHECK(f != nullptr, cat("cannot open --json path ", path));
-  const std::string text = doc.dump();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  write_file(path, doc.dump());
   std::printf("\njson results written to %s\n", path.c_str());
   return true;
 }

@@ -7,11 +7,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rapid/machine/params.hpp"
-#include "rapid/num/cholesky_app.hpp"
-#include "rapid/num/lu_app.hpp"
+#include "rapid/num/app.hpp"
 #include "rapid/num/workloads.hpp"
 #include "rapid/rt/report.hpp"
 #include "rapid/sched/liveness.hpp"
@@ -28,24 +28,20 @@ const char* ordering_name(OrderingKind kind);
 
 /// One prepared problem instance on p processors.
 struct Instance {
-  std::string name;
   int num_procs = 0;
-  graph::TaskGraph* graph = nullptr;  // owned by the app variant below
-  std::shared_ptr<num::CholeskyApp> cholesky;
-  std::shared_ptr<num::LuApp> lu;
+  std::shared_ptr<const num::App> app;
   std::vector<graph::ProcId> assignment;
   machine::MachineParams params;
 
-  std::int64_t sequential_space() const { return graph->sequential_space(); }
+  const graph::TaskGraph& graph() const { return app->graph(); }
+  std::int64_t sequential_space() const { return graph().sequential_space(); }
 };
 
-/// Builds the Cholesky instance (2-D block mapping) for a workload.
-Instance make_cholesky_instance(const num::Workload& workload,
-                                sparse::Index block, int procs);
-
-/// Builds the LU instance (1-D column-block mapping) for a workload.
-Instance make_lu_instance(const num::Workload& workload, sparse::Index block,
-                          int procs);
+/// Builds `app` (cholesky: 2-D block mapping; lu: 1-D column blocks) over
+/// the paper stand-in `matrix` at `scale`, through the workload registry
+/// (num/shm_workloads.hpp).
+Instance make_instance(std::string_view app, std::string_view matrix,
+                       double scale, sparse::Index block, int procs);
 
 /// Orders the instance's tasks. For kDtsMerged, volatile_budget must be the
 /// per-processor budget available to volatiles (capacity − max permanent).

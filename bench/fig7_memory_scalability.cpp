@@ -19,12 +19,9 @@ void run_panel(const char* title, bool lu, double scale, sparse::Index block,
   std::printf("--- %s ---\n", title);
   TextTable table({"p", "perfect (=p)", "RCP", "MPO", "DTS"});
   for (const auto p : procs) {
-    const num::Workload workload =
-        lu ? num::goodwin_like(scale) : num::bcsstk24_like(scale);
-    const bench::Instance inst =
-        lu ? bench::make_lu_instance(workload, block, static_cast<int>(p))
-           : bench::make_cholesky_instance(workload, block,
-                                           static_cast<int>(p));
+    const bench::Instance inst = bench::make_instance(
+        lu ? "lu" : "cholesky", lu ? "goodwin" : "bcsstk24", scale, block,
+        static_cast<int>(p));
     std::vector<std::string> row = {std::to_string(p),
                                     fixed(static_cast<double>(p), 2)};
     for (auto kind : {bench::OrderingKind::kRcp, bench::OrderingKind::kMpo,

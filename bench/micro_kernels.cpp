@@ -16,6 +16,8 @@
 
 #include "rapid/num/dispatch.hpp"
 #include "rapid/num/kernels.hpp"
+#include "rapid/support/check.hpp"
+#include "rapid/support/file.hpp"
 #include "rapid/support/flags.hpp"
 #include "rapid/support/json.hpp"
 #include "rapid/support/rng.hpp"
@@ -217,14 +219,12 @@ int main(int argc, char** argv) {
   doc["rows"] = std::move(rows);
   const std::string path = flags.get("json");
   if (!path.empty()) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open --json path %s\n", path.c_str());
+    try {
+      write_file(path, doc.dump());
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
-    const std::string text = doc.dump();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
     std::printf("\njson results written to %s\n", path.c_str());
   }
   return 0;

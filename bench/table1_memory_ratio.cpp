@@ -31,12 +31,12 @@ int main(int argc, char** argv) {
   for (int p : {2, 4, 8, 16}) {
     double ratio_sum = 0.0;
     int count = 0;
-    for (const num::Workload& w :
-         {num::bcsstk24_like(scale), num::bcsstk15_like(scale)}) {
-      const bench::Instance inst = bench::make_cholesky_instance(w, block, p);
+    for (const char* matrix : {"bcsstk24", "bcsstk15"}) {
+      const bench::Instance inst =
+          bench::make_instance("cholesky", matrix, scale, block, p);
       const auto schedule =
           bench::make_schedule(inst, bench::OrderingKind::kRcp);
-      const auto liveness = sched::analyze_liveness(*inst.graph, schedule);
+      const auto liveness = sched::analyze_liveness(inst.graph(), schedule);
       const double lower = static_cast<double>(inst.sequential_space()) / p;
       double avg_usage = 0.0;
       for (const auto& proc : liveness.procs) {

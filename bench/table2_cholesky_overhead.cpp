@@ -43,10 +43,9 @@ int main(int argc, char** argv) {
     };
     Acc acc[4];  // 100, 75, 50, 40 %
     const double fractions[] = {1.0, 0.75, 0.5, 0.4};
-    for (const num::Workload& w :
-         {num::bcsstk24_like(scale), num::bcsstk15_like(scale)}) {
-      const bench::Instance inst =
-          bench::make_cholesky_instance(w, block, static_cast<int>(p));
+    for (const char* matrix : {"bcsstk24", "bcsstk15"}) {
+      const bench::Instance inst = bench::make_instance(
+          "cholesky", matrix, scale, block, static_cast<int>(p));
       const auto schedule =
           bench::make_schedule(inst, bench::OrderingKind::kRcp);
       const auto tot = bench::tot_mem(inst, schedule);

@@ -22,19 +22,18 @@ int main(int argc, char** argv) {
   const auto block = static_cast<sparse::Index>(flags.get_int("block"));
   const auto procs = flags.get_int_list("procs");
 
-  const num::Workload workload = num::goodwin_like(scale);
   bench::print_header(
       "Table 3: active memory management overhead, sparse LU with partial "
       "pivoting (RCP)",
-      workload.name,
+      num::goodwin_like(scale).name,
       "1-D column-block mapping; PT increase vs the no-management baseline");
 
   TextTable table({"p", "100% PT", "75% PT", "75% #MAP", "50% PT",
                    "50% #MAP", "40% PT", "40% #MAP"});
   const double fractions[] = {1.0, 0.75, 0.5, 0.4};
   for (const auto p : procs) {
-    const bench::Instance inst =
-        bench::make_lu_instance(workload, block, static_cast<int>(p));
+    const bench::Instance inst = bench::make_instance(
+        "lu", "goodwin", scale, block, static_cast<int>(p));
     const auto schedule = bench::make_schedule(inst, bench::OrderingKind::kRcp);
     const auto tot = bench::tot_mem(inst, schedule);
     const bench::SimResult base = bench::run_baseline(inst, schedule);

@@ -20,12 +20,9 @@ void run_panel(const char* title, bool lu, double scale, sparse::Index block,
   TextTable table({"p", "75%", "50%", "40%", "25%"});
   const double fractions[] = {0.75, 0.5, 0.4, 0.25};
   for (const auto p : procs) {
-    const num::Workload workload =
-        lu ? num::goodwin_like(scale) : num::bcsstk24_like(scale);
-    const bench::Instance inst =
-        lu ? bench::make_lu_instance(workload, block, static_cast<int>(p))
-           : bench::make_cholesky_instance(workload, block,
-                                           static_cast<int>(p));
+    const bench::Instance inst = bench::make_instance(
+        lu ? "lu" : "cholesky", lu ? "goodwin" : "bcsstk24", scale, block,
+        static_cast<int>(p));
     const auto rcp = bench::make_schedule(inst, bench::OrderingKind::kRcp);
     const auto mpo = bench::make_schedule(inst, bench::OrderingKind::kMpo);
     // The paper's constraint base is TOT of the time-efficient schedule.

@@ -30,10 +30,9 @@ int main(int argc, char** argv) {
 
   TextTable table({"p", "75%", "50%", "40%", "25%"});
   const double fractions[] = {0.75, 0.5, 0.4, 0.25};
-  const num::Workload workload = num::bcsstk24_like(scale);
   for (const auto p : procs) {
-    const bench::Instance inst =
-        bench::make_cholesky_instance(workload, block, static_cast<int>(p));
+    const bench::Instance inst = bench::make_instance(
+        "cholesky", "bcsstk24", scale, block, static_cast<int>(p));
     const auto rcp = bench::make_schedule(inst, bench::OrderingKind::kRcp);
     const auto mpo = bench::make_schedule(inst, bench::OrderingKind::kMpo);
     const auto tot = bench::tot_mem(inst, rcp);

@@ -33,19 +33,18 @@ int main(int argc, char** argv) {
   const double cap_fraction = flags.get_double("capacity_fraction");
 
   // An unsymmetric instance on the BCSSTK33-like (largest) pattern scale.
-  const num::Workload workload = num::goodwin_like(scale);
   bench::print_header(
       "Table 8: large sparse LU with partial pivoting under a hard memory "
       "cap",
-      workload.name,
+      num::goodwin_like(scale).name,
       "capacity per node fixed across p; baseline (no recycling) must not "
       "fit at the smallest p");
 
   // Fix the capacity from the smallest processor count's footprint.
   std::int64_t capacity = 0;
   {
-    const bench::Instance inst = bench::make_lu_instance(
-        workload, block, static_cast<int>(procs.front()));
+    const bench::Instance inst = bench::make_instance(
+        "lu", "goodwin", scale, block, static_cast<int>(procs.front()));
     const auto rcp = bench::make_schedule(inst, bench::OrderingKind::kRcp);
     capacity = static_cast<std::int64_t>(
         static_cast<double>(bench::tot_mem(inst, rcp)) * cap_fraction);
@@ -58,13 +57,13 @@ int main(int argc, char** argv) {
   const double paper_mflops[] = {353.1, 569.2, 634.0};
   std::size_t row = 0;
   for (const auto p : procs) {
-    const bench::Instance inst =
-        bench::make_lu_instance(workload, block, static_cast<int>(p));
+    const bench::Instance inst = bench::make_instance(
+        "lu", "goodwin", scale, block, static_cast<int>(p));
     const auto rcp = bench::make_schedule(inst, bench::OrderingKind::kRcp);
     const bench::SimResult no_recycle =
         bench::run_sim(inst, rcp, capacity, /*active_memory=*/false);
     const bench::SimResult active = bench::run_sim(inst, rcp, capacity);
-    const double flops = inst.graph->total_flops();
+    const double flops = inst.graph().total_flops();
     std::string pt = "inf", maps = "inf", mflops = "-";
     if (active.executable) {
       pt = fixed(active.parallel_time_us / 1e3, 1);
@@ -77,7 +76,7 @@ int main(int argc, char** argv) {
                    row < 3 ? fixed(paper_mflops[row], 1) : std::string("-")});
     ++row;
   }
-  bench::emit_table(flags, "table8_large_lu", table);
+  std::fputs(table.render().c_str(), stdout);
   std::printf(
       "\nexpected shape: the no-recycling baseline does not fit (the paper's "
       "'previously\nunsolvable' situation) while active memory management "

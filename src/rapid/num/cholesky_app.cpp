@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "rapid/num/kernels.hpp"
+#include "rapid/num/reference.hpp"
 #include "rapid/support/check.hpp"
 #include "rapid/support/str.hpp"
 
@@ -198,6 +199,10 @@ std::vector<double> CholeskyApp::extract_l_dense(
     }
   }
   return l;
+}
+
+double CholeskyApp::residual(const rt::ThreadedExecutor& exec) const {
+  return cholesky_residual(a_, extract_l_dense(exec));
 }
 
 }  // namespace rapid::num

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "rapid/graph/task_graph.hpp"
+#include "rapid/num/app.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/sparse/blocks.hpp"
 #include "rapid/sparse/csc.hpp"
@@ -23,7 +24,7 @@ namespace rapid::num {
 
 using sparse::Index;
 
-class CholeskyApp {
+class CholeskyApp final : public App {
  public:
   struct TaskInfo {
     enum class Kind { kPotrf, kTrsm, kUpdate };
@@ -37,7 +38,7 @@ class CholeskyApp {
   static CholeskyApp build(sparse::CscMatrix a, Index block_size,
                            int num_procs);
 
-  const graph::TaskGraph& graph() const { return graph_; }
+  const graph::TaskGraph& graph() const override { return graph_; }
   graph::TaskGraph& mutable_graph() { return graph_; }
   const sparse::CscMatrix& matrix() const { return a_; }
   const sparse::BlockLayout& layout() const { return layout_; }
@@ -49,8 +50,10 @@ class CholeskyApp {
   graph::DataId block_object(Index bi, Index bj) const;
 
   /// Callbacks for the threaded executor. The app must outlive the run.
-  rt::ObjectInit make_init() const;
-  rt::TaskBody make_body() const;
+  rt::ObjectInit make_init() const override;
+  rt::TaskBody make_body() const override;
+  /// Relative factorization residual ‖A − L·Lᵀ‖_F / ‖A‖_F of the run.
+  double residual(const rt::ThreadedExecutor& exec) const override;
 
   /// Assembles the dense factor L from the owners' heaps after a run.
   std::vector<double> extract_l_dense(

@@ -106,4 +106,8 @@ std::int64_t GridIntApp::max_abs_error(
   return worst;
 }
 
+double GridIntApp::residual(const rt::ThreadedExecutor& exec) const {
+  return static_cast<double>(max_abs_error(exec));
+}
+
 }  // namespace rapid::num

@@ -17,18 +17,19 @@
 #include <vector>
 
 #include "rapid/graph/task_graph.hpp"
+#include "rapid/num/app.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 
 namespace rapid::num {
 
-class GridIntApp {
+class GridIntApp final : public App {
  public:
   /// Builds the graph for a rows x cols wavefront on num_procs cyclic
   /// owners. delay_us <= 0 means task bodies run at full speed.
   static GridIntApp build(int rows, int cols, int num_procs,
                           std::int64_t delay_us = 0);
 
-  const graph::TaskGraph& graph() const { return graph_; }
+  const graph::TaskGraph& graph() const override { return graph_; }
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   std::int64_t delay_us() const { return delay_us_; }
@@ -38,8 +39,11 @@ class GridIntApp {
   const std::vector<std::int64_t>& expected() const { return expected_; }
 
   /// Callbacks for the threaded executor. The app must outlive the run.
-  rt::ObjectInit make_init() const;
-  rt::TaskBody make_body() const;
+  rt::ObjectInit make_init() const override;
+  rt::TaskBody make_body() const override;
+  /// max_abs_error() as a double: exactly 0.0 on a correct run.
+  double residual(const rt::ThreadedExecutor& exec) const override;
+  bool integer_exact() const override { return true; }
 
   /// Largest |final - expected| over all objects after a successful run;
   /// exactly 0 when the protocol delivered every version correctly.

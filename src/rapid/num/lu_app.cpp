@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "rapid/num/kernels.hpp"
+#include "rapid/num/reference.hpp"
 #include "rapid/sparse/symbolic.hpp"
 #include "rapid/support/check.hpp"
 #include "rapid/support/str.hpp"
@@ -228,6 +229,11 @@ LuApp::Extracted LuApp::extract(const rt::ThreadedExecutor& exec) const {
     }
   }
   return out;
+}
+
+double LuApp::residual(const rt::ThreadedExecutor& exec) const {
+  const Extracted x = extract(exec);
+  return lu_residual(a_, x.lu, x.piv);
 }
 
 }  // namespace rapid::num

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "rapid/graph/task_graph.hpp"
+#include "rapid/num/app.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/sparse/blocks.hpp"
 #include "rapid/sparse/csc.hpp"
@@ -25,7 +26,7 @@ namespace rapid::num {
 
 using sparse::Index;
 
-class LuApp {
+class LuApp final : public App {
  public:
   struct TaskInfo {
     enum class Kind { kFactor, kUpdate };
@@ -38,7 +39,7 @@ class LuApp {
   /// column blocks of `block_size`, 1-D cyclic owners over num_procs.
   static LuApp build(sparse::CscMatrix a, Index block_size, int num_procs);
 
-  const graph::TaskGraph& graph() const { return graph_; }
+  const graph::TaskGraph& graph() const override { return graph_; }
   graph::TaskGraph& mutable_graph() { return graph_; }
   const sparse::CscMatrix& matrix() const { return a_; }
   const sparse::BlockLayout& layout() const { return layout_; }
@@ -46,8 +47,10 @@ class LuApp {
   graph::DataId block_object(Index block) const { return objects_[block]; }
   const TaskInfo& info(graph::TaskId t) const { return task_info_[t]; }
 
-  rt::ObjectInit make_init() const;
-  rt::TaskBody make_body() const;
+  rt::ObjectInit make_init() const override;
+  rt::TaskBody make_body() const override;
+  /// Relative factorization residual ‖P·A − L·U‖_F / ‖A‖_F of the run.
+  double residual(const rt::ThreadedExecutor& exec) const override;
 
   /// Replaces the numeric values for the next run. The pattern must match
   /// the build-time matrix exactly — this is the paper's iterative use

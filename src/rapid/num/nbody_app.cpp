@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "rapid/num/reference.hpp"
 #include "rapid/support/check.hpp"
 #include "rapid/support/str.hpp"
 
@@ -360,6 +361,10 @@ std::vector<double> NBodyApp::reference_run() const {
     }
   }
   return particles;
+}
+
+double NBodyApp::residual(const rt::ThreadedExecutor& exec) const {
+  return max_rel_error(extract_particles(exec), reference_run());
 }
 
 }  // namespace rapid::num

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "rapid/graph/task_graph.hpp"
+#include "rapid/num/app.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/support/rng.hpp"
 
@@ -45,7 +46,7 @@ struct NBodyConfig {
   std::uint64_t seed = 2026;
 };
 
-class NBodyApp {
+class NBodyApp final : public App {
  public:
   struct TaskInfo {
     enum class Kind {
@@ -65,13 +66,16 @@ class NBodyApp {
 
   static NBodyApp build(const NBodyConfig& config, int num_procs);
 
-  const graph::TaskGraph& graph() const { return graph_; }
+  const graph::TaskGraph& graph() const override { return graph_; }
   graph::TaskGraph& mutable_graph() { return graph_; }
   const NBodyConfig& config() const { return config_; }
   const TaskInfo& info(graph::TaskId t) const { return task_info_[t]; }
 
-  rt::ObjectInit make_init() const;
-  rt::TaskBody make_body() const;
+  rt::ObjectInit make_init() const override;
+  rt::TaskBody make_body() const override;
+  /// Max-norm relative error of the run's particles against
+  /// reference_run() (only the commuting reductions' order may differ).
+  double residual(const rt::ThreadedExecutor& exec) const override;
 
   /// All particle states (x, y, vx, vy per particle) after a run, in cell
   /// order — comparable against reference_run().

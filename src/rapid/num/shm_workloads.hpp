@@ -1,44 +1,64 @@
-// Spec-string workloads for the cross-process shm transport. A spawned
-// rapid_shm_worker process shares no address space with the coordinator, so
-// it cannot inherit the plan or the task-body closures; instead the
-// coordinator writes a short spec string into the segment header and the
-// worker rebuilds the *identical* workload from it — same matrix generator,
-// same ordering, same scheduler — then cross-checks rt::plan_fingerprint
+// The workload registry: the one place a workload spec string becomes an
+// app (task graph + task bodies), an owner-compute schedule and a run plan.
+// Every CLI, bench and the runtime service build workloads through it, and
+// so does the cross-process shm transport: a spawned rapid_shm_worker
+// process shares no address space with the coordinator, so it cannot
+// inherit the plan or the task-body closures; instead the coordinator
+// writes the spec into the segment header and the worker rebuilds the
+// *identical* workload from it, then cross-checks rt::plan_fingerprint
 // against the coordinator's before touching any shared state.
 //
-// Grammar (key=value pairs after the app name, any order, all optional):
-//   cholesky:grid=12,block=4,procs=4,sched=rcp|dts|mpo
-//   lu:grid=12,block=4,procs=4
-//   grid:rows=8,cols=8,procs=4,delay=0,sched=mpo
+// Grammar: `<app>:<key>=<value>,...` — keys in any order, each at most
+// once, all optional.
+//
+//   app         keys (defaults)
+//   cholesky    matrix: grid=12 (the 2-D grid Laplacian, nested-dissection
+//   lu            ordered) or matrix=bcsstk15|bcsstk24|bcsstk33|goodwin with
+//   trisolve      scale=1 (the paper stand-ins of num/workloads.hpp, scale
+//                 in (0, 1]); block=4. cholesky and trisolve need an SPD
+//                 matrix, so not goodwin.
+//   grid        rows=8, cols=8, delay=0 (max per-task delay in µs)
+//   nbody       none: the default NBodyConfig (6x6 cells, 8 particles per
+//                 cell, 3 timesteps)
+//   every app   procs=4, sched=rcp|mpo|dts (default rcp)
+//
+// Values are whole tokens: an integer key takes a decimal integer that fits
+// its type, scale takes a decimal number. A key the app does not take, a
+// repeated key, or trailing characters are a rapid::Error naming the key.
+// Examples:
+//
+//   cholesky:grid=12,block=4,procs=4,sched=dts
+//   lu:matrix=goodwin,scale=0.4,block=10,procs=4
+//   trisolve:matrix=bcsstk24,scale=0.25,block=6,procs=4,sched=mpo
+//   nbody:procs=4,sched=mpo
+//   grid:rows=8,cols=8,procs=4,delay=0
+//
 // Everything in the pipeline is deterministic (no seeds, no wall-clock;
 // grid's optional per-task delay draws from a stateless hash of the task
 // id), so spec equality implies plan equality across processes and
-// machines. The runtime service reuses these specs as its RunRequest plan
-// language — grid is its exact-integer workload (residual is a bit-exact
-// max-abs-diff, not a floating-point factorization residual).
+// machines. The runtime service uses these specs as its RunRequest plan
+// language.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
-#include "rapid/num/cholesky_app.hpp"
-#include "rapid/num/grid_app.hpp"
-#include "rapid/num/lu_app.hpp"
+#include "rapid/num/app.hpp"
+#include "rapid/rt/plan.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/sched/schedule.hpp"
+#include "rapid/sparse/csc.hpp"
 
 namespace rapid::num {
 
-/// A workload rebuilt from a spec string: the app (graph + task bodies),
-/// its schedule and run plan, and the liveness floor. The app object owns
-/// the graph the plan points into, so keep the ShmWorkload alive for the
-/// whole run.
+/// A workload built from a spec string: the app, its schedule and run plan,
+/// and the liveness floor. The app owns the graph the plan points into, so
+/// keep the ShmWorkload alive for the whole run.
 struct ShmWorkload {
   std::string spec;
-  std::unique_ptr<CholeskyApp> cholesky;  // exactly one of these is set
-  std::unique_ptr<LuApp> lu;
-  std::unique_ptr<GridIntApp> grid;
+  std::unique_ptr<App> app;
   sched::Schedule schedule;
   rt::RunPlan plan;
   std::int64_t min_mem = 0;
@@ -46,31 +66,39 @@ struct ShmWorkload {
   /// executor's 8-byte alignment padding on top of Def. 5 accounting).
   std::int64_t tot_mem = 0;
 
-  const graph::TaskGraph& graph() const {
-    if (cholesky) return cholesky->graph();
-    if (lu) return lu->graph();
-    return grid->graph();
+  const graph::TaskGraph& graph() const { return app->graph(); }
+  rt::ObjectInit make_init() const { return app->make_init(); }
+  rt::TaskBody make_body() const { return app->make_body(); }
+  double residual(const rt::ThreadedExecutor& exec) const {
+    return app->residual(exec);
   }
-  rt::ObjectInit make_init() const {
-    if (cholesky) return cholesky->make_init();
-    if (lu) return lu->make_init();
-    return grid->make_init();
-  }
-  rt::TaskBody make_body() const {
-    if (cholesky) return cholesky->make_body();
-    if (lu) return lu->make_body();
-    return grid->make_body();
-  }
-  /// Relative factorization residual against the generated matrix (cholesky
-  /// and lu), assembled from the owner heaps after a successful run. For
-  /// the grid app this is the largest |final - expected| over all objects —
-  /// integer arithmetic, so anything other than exactly 0.0 is a protocol
-  /// bug, not roundoff.
-  double residual(const rt::ThreadedExecutor& exec) const;
 };
 
-/// Parses and builds; throws rapid::Error on an unknown app name or a
-/// malformed key=value list.
+/// Parses the spec and builds app, schedule and plan. Throws rapid::Error
+/// on any malformed spec.
 std::unique_ptr<ShmWorkload> build_shm_workload(const std::string& spec);
+
+/// Parses the spec and builds only the app, for callers that schedule the
+/// graph several ways themselves (the ordering sweeps of the table benches).
+std::unique_ptr<App> build_app(const std::string& spec);
+
+/// The registry's scheduling stage: owner-compute task placement on `procs`
+/// Cray-T3D processors, ordered by `ordering` (rcp, mpo or dts).
+sched::Schedule schedule_owner_compute(const graph::TaskGraph& graph,
+                                       int procs, std::string_view ordering);
+
+/// The spec of `app` over the paper stand-in `matrix`. scale is written in
+/// its shortest round-trip form, so re-parsing the spec (as a spawned shm
+/// worker does) reads back the same double.
+std::string matrix_spec(std::string_view app, std::string_view matrix,
+                        double scale, sparse::Index block, int procs,
+                        std::string_view ordering = "rcp");
+
+/// The spec of a seed workload as the CLIs name them: cholesky and trisolve
+/// on the BCSSTK24 stand-in and lu on goodwin (at `scale`, with `block`), or
+/// nbody (fixed size, so scale and block do not apply).
+std::string seed_spec(std::string_view name, double scale,
+                      sparse::Index block, int procs,
+                      std::string_view ordering = "rcp");
 
 }  // namespace rapid::num

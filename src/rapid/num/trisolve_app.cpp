@@ -227,4 +227,8 @@ double TriSolveApp::solution_error(const std::vector<double>& x) {
   return worst;
 }
 
+double TriSolveApp::residual(const rt::ThreadedExecutor& exec) const {
+  return solution_error(extract_solution(exec));
+}
+
 }  // namespace rapid::num

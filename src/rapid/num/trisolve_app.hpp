@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "rapid/graph/task_graph.hpp"
+#include "rapid/num/app.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/sparse/blocks.hpp"
 #include "rapid/sparse/csc.hpp"
@@ -26,7 +27,7 @@ namespace rapid::num {
 
 using sparse::Index;
 
-class TriSolveApp {
+class TriSolveApp final : public App {
  public:
   struct TaskInfo {
     enum class Kind {
@@ -46,14 +47,16 @@ class TriSolveApp {
   static TriSolveApp build(sparse::CscMatrix a, Index block_size,
                            int num_procs);
 
-  const graph::TaskGraph& graph() const { return graph_; }
+  const graph::TaskGraph& graph() const override { return graph_; }
   graph::TaskGraph& mutable_graph() { return graph_; }
   const sparse::CscMatrix& matrix() const { return a_; }
   const sparse::BlockLayout& layout() const { return layout_; }
   const TaskInfo& info(graph::TaskId t) const { return task_info_[t]; }
 
-  rt::ObjectInit make_init() const;
-  rt::TaskBody make_body() const;
+  rt::ObjectInit make_init() const override;
+  rt::TaskBody make_body() const override;
+  /// solution_error() of the run's solution.
+  double residual(const rt::ThreadedExecutor& exec) const override;
 
   /// Gathers the solution vector after a run.
   std::vector<double> extract_solution(

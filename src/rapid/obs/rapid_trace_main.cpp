@@ -16,9 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "rapid/num/cholesky_app.hpp"
-#include "rapid/num/lu_app.hpp"
-#include "rapid/num/workloads.hpp"
+#include "rapid/num/shm_workloads.hpp"
 #include "rapid/obs/chrome_trace.hpp"
 #include "rapid/obs/metrics.hpp"
 #include "rapid/obs/timeline.hpp"
@@ -26,10 +24,8 @@
 #include "rapid/rt/plan.hpp"
 #include "rapid/rt/sim_executor.hpp"
 #include "rapid/rt/threaded_executor.hpp"
-#include "rapid/sched/liveness.hpp"
-#include "rapid/sched/mapping.hpp"
-#include "rapid/sched/ordering.hpp"
 #include "rapid/support/exit_codes.hpp"
+#include "rapid/support/file.hpp"
 #include "rapid/support/flags.hpp"
 #include "rapid/support/str.hpp"
 #include "rapid/support/table.hpp"
@@ -37,41 +33,6 @@
 namespace {
 
 using namespace rapid;
-
-struct Workload {
-  std::string name;
-  graph::TaskGraph* graph = nullptr;
-  std::shared_ptr<num::CholeskyApp> cholesky;
-  std::shared_ptr<num::LuApp> lu;
-};
-
-Workload make_workload(const std::string& name, double scale,
-                       sparse::Index block, int procs) {
-  Workload w;
-  w.name = name;
-  if (name == "cholesky") {
-    auto workload = num::bcsstk24_like(scale);
-    w.cholesky = std::make_shared<num::CholeskyApp>(
-        num::CholeskyApp::build(std::move(workload.matrix), block, procs));
-    w.graph = &w.cholesky->mutable_graph();
-  } else if (name == "lu") {
-    auto workload = num::goodwin_like(scale);
-    w.lu = std::make_shared<num::LuApp>(
-        num::LuApp::build(std::move(workload.matrix), block, procs));
-    w.graph = &w.lu->mutable_graph();
-  } else {
-    RAPID_FAIL(cat("unknown workload '", name, "' (expected cholesky|lu)"));
-  }
-  return w;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  RAPID_CHECK(f != nullptr, cat("cannot open ", path, " for writing"));
-  const std::size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  RAPID_CHECK(written == content.size(), cat("short write to ", path));
-}
 
 /// The tracing plane's own acceptance checks (see ISSUE/docs): five states
 /// per processor, MAP events present where MAPs ran, and an occupancy
@@ -154,18 +115,18 @@ int main(int argc, char** argv) {
   RAPID_CHECK(threaded || executor == "sim",
               cat("unknown executor '", executor, "'"));
 
-  const Workload w =
-      make_workload(flags.get("workload"), scale, block, procs);
+  const std::string name = flags.get("workload");
+  RAPID_CHECK(name == "cholesky" || name == "lu",
+              cat("unknown workload '", name, "' (expected cholesky|lu)"));
+  const auto w =
+      num::build_shm_workload(num::seed_spec(name, scale, block, procs));
+  const graph::TaskGraph& graph = w->graph();
+  const rt::RunPlan& plan = w->plan;
   const auto params = machine::MachineParams::cray_t3d(procs);
-  const auto assignment = sched::owner_compute_tasks(*w.graph, procs);
-  const auto schedule =
-      sched::schedule_rcp(*w.graph, assignment, procs, params);
-  const rt::RunPlan plan = rt::build_run_plan(*w.graph, schedule);
-  const auto liveness = sched::analyze_liveness(*w.graph, schedule);
-  const std::int64_t tot = liveness.tot_mem();
-  const std::int64_t min = liveness.min_mem();
+  const std::int64_t tot = w->tot_mem;
+  const std::int64_t min = w->min_mem;
   const std::int64_t s1_per_p =
-      w.graph->sequential_space() / std::max(procs, 1);
+      graph.sequential_space() / std::max(procs, 1);
 
   obs::TraceConfig tcfg;
   tcfg.events_per_proc =
@@ -188,10 +149,8 @@ int main(int argc, char** argv) {
     if (threaded) {
       rt::ThreadedOptions options;
       options.trace = trace.get();
-      rt::ThreadedExecutor exec(
-          plan, config,
-          w.cholesky ? w.cholesky->make_init() : w.lu->make_init(),
-          w.cholesky ? w.cholesky->make_body() : w.lu->make_body(), options);
+      rt::ThreadedExecutor exec(plan, config, w->make_init(),
+                                w->make_body(), options);
       report = exec.run();
     } else {
       report = rt::simulate(plan, config, trace.get());
@@ -205,11 +164,11 @@ int main(int argc, char** argv) {
   const std::vector<std::string> findings = check_trace(*trace, occ, report);
 
   obs::TraceLabels labels;
-  for (graph::TaskId t = 0; t < w.graph->num_tasks(); ++t) {
-    labels.tasks.push_back(w.graph->task(t).name);
+  for (graph::TaskId t = 0; t < graph.num_tasks(); ++t) {
+    labels.tasks.push_back(graph.task(t).name);
   }
-  for (graph::DataId d = 0; d < w.graph->num_data(); ++d) {
-    labels.objects.push_back(w.graph->data(d).name);
+  for (graph::DataId d = 0; d < graph.num_data(); ++d) {
+    labels.objects.push_back(graph.data(d).name);
   }
   const std::string prefix = flags.get("out");
   write_file(prefix + ".trace.json",
@@ -220,7 +179,7 @@ int main(int argc, char** argv) {
   std::printf(
       "rapid_trace: %s on %d procs (%s executor), %lld tasks, "
       "%.2f ms %s time\n",
-      w.name.c_str(), procs, executor.c_str(),
+      name.c_str(), procs, executor.c_str(),
       static_cast<long long>(report.tasks_executed),
       report.parallel_time_us / 1000.0, threaded ? "wall" : "modeled");
   std::printf(

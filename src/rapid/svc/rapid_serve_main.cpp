@@ -38,6 +38,7 @@
 #include "rapid/rt/shm_health.hpp"
 #include "rapid/support/backoff.hpp"
 #include "rapid/support/exit_codes.hpp"
+#include "rapid/support/file.hpp"
 #include "rapid/support/flags.hpp"
 #include "rapid/support/str.hpp"
 #include "rapid/svc/service.hpp"
@@ -95,13 +96,6 @@ svc::RunRequest parse_line(const std::string& line) {
     req.options.retry = RetryPolicy::standard();
   }
   return req;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  RAPID_CHECK(out.good(), cat("cannot open ", path, " for writing"));
-  out << content;
-  RAPID_CHECK(out.good(), cat("short write to ", path));
 }
 
 }  // namespace

@@ -12,18 +12,6 @@
 
 namespace rapid::svc {
 
-namespace {
-
-/// Completed-run acceptance: the grid app computes in exact integers (any
-/// nonzero residual is a protocol bug), the factorizations are checked
-/// against the same bound the transport tests use.
-bool residual_ok(const std::string& spec, double residual) {
-  const bool exact = spec.rfind("grid", 0) == 0;
-  return exact ? residual == 0.0 : residual < 1e-10;
-}
-
-}  // namespace
-
 const char* to_string(RunState state) {
   switch (state) {
     case RunState::kQueued:
@@ -466,7 +454,10 @@ void RuntimeService::execute(RunRecord& record, Pending pending) {
     has_outcome = true;
     if (!outcome.failed && outcome.report.executable) {
       residual = workload.residual(*outcome.executor);
-      numerics_ok = residual_ok(record.spec, residual);
+      // Integer apps must be bit-exact; floating-point ones are held to
+      // the bound the transport tests use.
+      numerics_ok = workload.app->integer_exact() ? residual == 0.0
+                                                  : residual < 1e-10;
       state = RunState::kCompleted;
     } else if (outcome.failed &&
                outcome.failure_kind == rt::FailureKind::kCancelled) {

@@ -59,7 +59,7 @@ struct ServiceOptions {
 
 struct RunRequest {
   /// Workload spec in the num/shm_workloads.hpp grammar
-  /// (cholesky:… | lu:… | grid:…).
+  /// (cholesky:… | lu:… | trisolve:… | nbody:… | grid:…).
   std::string spec;
   rt::RunConfig config;
   /// Wall-clock budget from submission (µs; 0 = none). A run still queued
@@ -110,11 +110,13 @@ struct RunRecord {
   /// extracted, so finished runs hold no arena memory.
   bool has_outcome = false;
   rt::RecoveryRun outcome;
-  /// Workload residual of a completed run: bit-exact max-abs-diff for the
-  /// grid app (anything but 0 is a protocol bug), relative factorization
-  /// residual for cholesky/lu. -1 before completion.
+  /// Workload residual of a completed run (num::App::residual): bit-exact
+  /// max-abs-diff for the integer grid app (anything but 0 is a protocol
+  /// bug), a relative error for the floating-point apps. -1 before
+  /// completion.
   double residual = -1.0;
-  /// residual within the workload's acceptance threshold (grid: == 0).
+  /// residual within the app's acceptance threshold: == 0 for an
+  /// integer-exact app, < 1e-10 otherwise.
   bool numerics_ok = false;
 
   /// Microseconds from submit to dispatch and from dispatch to terminal.

@@ -16,19 +16,15 @@
 #include <string>
 #include <vector>
 
-#include "rapid/num/cholesky_app.hpp"
-#include "rapid/num/lu_app.hpp"
-#include "rapid/num/workloads.hpp"
+#include "rapid/num/shm_workloads.hpp"
 #include "rapid/obs/trace.hpp"
 #include "rapid/rt/faults.hpp"
 #include "rapid/rt/plan.hpp"
 #include "rapid/rt/sim_executor.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/rt/transport.hpp"
-#include "rapid/sched/liveness.hpp"
-#include "rapid/sched/mapping.hpp"
-#include "rapid/sched/ordering.hpp"
 #include "rapid/support/exit_codes.hpp"
+#include "rapid/support/file.hpp"
 #include "rapid/support/flags.hpp"
 #include "rapid/support/json.hpp"
 #include "rapid/support/str.hpp"
@@ -38,40 +34,6 @@
 namespace {
 
 using namespace rapid;
-
-struct Workload {
-  std::string name;
-  graph::TaskGraph* graph = nullptr;
-  std::shared_ptr<num::CholeskyApp> cholesky;
-  std::shared_ptr<num::LuApp> lu;
-
-  rt::ObjectInit make_init() const {
-    return cholesky ? cholesky->make_init() : lu->make_init();
-  }
-  rt::TaskBody make_body() const {
-    return cholesky ? cholesky->make_body() : lu->make_body();
-  }
-};
-
-Workload make_workload(const std::string& name, double scale,
-                       sparse::Index block, int procs) {
-  Workload w;
-  w.name = name;
-  if (name == "cholesky") {
-    auto workload = num::bcsstk24_like(scale);
-    w.cholesky = std::make_shared<num::CholeskyApp>(
-        num::CholeskyApp::build(std::move(workload.matrix), block, procs));
-    w.graph = &w.cholesky->mutable_graph();
-  } else if (name == "lu") {
-    auto workload = num::goodwin_like(scale);
-    w.lu = std::make_shared<num::LuApp>(
-        num::LuApp::build(std::move(workload.matrix), block, procs));
-    w.graph = &w.lu->mutable_graph();
-  } else {
-    RAPID_FAIL(cat("unknown workload '", name, "' (expected cholesky|lu)"));
-  }
-  return w;
-}
 
 struct CheckedRun {
   std::string label;
@@ -99,15 +61,6 @@ void print_report(const CheckedRun& run) {
   if (run.report.errors() > 0 || run.report.warnings() > 0) {
     std::printf("%s", run.report.to_string().c_str());
   }
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  RAPID_CHECK(f != nullptr, cat("cannot open ", path, " for writing"));
-  const std::size_t written =
-      std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  RAPID_CHECK(written == content.size(), cat("short write to ", path));
 }
 
 }  // namespace
@@ -189,15 +142,14 @@ int main(int argc, char** argv) {
   try {
     if (!flags.get_bool("litmus-only")) {
       for (const std::string& name : workloads) {
-        const Workload w = make_workload(name, scale, block, procs);
-        const auto assignment =
-            sched::owner_compute_tasks(*w.graph, procs);
-        const auto schedule =
-            sched::schedule_rcp(*w.graph, assignment, procs, params);
-        const rt::RunPlan plan = rt::build_run_plan(*w.graph, schedule);
-        const auto liveness = sched::analyze_liveness(*w.graph, schedule);
-        const std::int64_t tot = liveness.tot_mem();
-        const std::int64_t min = liveness.min_mem();
+        RAPID_CHECK(name == "cholesky" || name == "lu",
+                    cat("unknown workload '", name,
+                        "' (expected cholesky|lu)"));
+        const auto w = num::build_shm_workload(
+            num::seed_spec(name, scale, block, procs));
+        const rt::RunPlan& plan = w->plan;
+        const std::int64_t tot = w->tot_mem;
+        const std::int64_t min = w->min_mem;
 
         for (const std::string& executor : executors) {
           const bool threaded = executor == "threaded";
@@ -223,8 +175,8 @@ int main(int argc, char** argv) {
               rt::ThreadedOptions options;
               options.trace = trace.get();
               options.transport = transport;
-              rt::ThreadedExecutor exec(plan, config, w.make_init(),
-                                        w.make_body(), options);
+              rt::ThreadedExecutor exec(plan, config, w->make_init(),
+                                        w->make_body(), options);
               report = exec.run();
             } else {
               report = rt::simulate(plan, config, trace.get());
@@ -265,8 +217,8 @@ int main(int argc, char** argv) {
               options.transport = transport;
               options.retry = RetryPolicy::standard();
               options.faults = rt::FaultPlan::preset(preset, seed);
-              rt::ThreadedExecutor exec(plan, config, w.make_init(),
-                                        w.make_body(), options);
+              rt::ThreadedExecutor exec(plan, config, w->make_init(),
+                                        w->make_body(), options);
               report = exec.run();
               RAPID_CHECK(report.executable,
                           cat(name, " ", preset, " seed ", seed,

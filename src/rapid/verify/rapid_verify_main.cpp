@@ -12,88 +12,15 @@
 #include <string>
 #include <vector>
 
-#include "rapid/num/cholesky_app.hpp"
-#include "rapid/num/lu_app.hpp"
-#include "rapid/num/nbody_app.hpp"
-#include "rapid/num/trisolve_app.hpp"
-#include "rapid/num/workloads.hpp"
+#include "rapid/num/shm_workloads.hpp"
 #include "rapid/rt/plan.hpp"
 #include "rapid/sched/liveness.hpp"
-#include "rapid/sched/mapping.hpp"
-#include "rapid/sched/ordering.hpp"
 #include "rapid/support/exit_codes.hpp"
 #include "rapid/support/flags.hpp"
 #include "rapid/support/str.hpp"
 #include "rapid/verify/auditor.hpp"
 
-namespace {
-
 using namespace rapid;
-
-struct Target {
-  std::string name;
-  graph::TaskGraph* graph = nullptr;
-  // Keep whichever app owns the graph alive for the audit.
-  std::shared_ptr<void> owner;
-};
-
-Target make_target(const std::string& name, double scale,
-                   sparse::Index block, int procs) {
-  Target target;
-  target.name = name;
-  if (name == "fig2") {
-    auto g = std::make_shared<graph::TaskGraph>(
-        graph::make_paper_figure2_graph());
-    target.graph = g.get();
-    target.owner = g;
-  } else if (name == "cholesky") {
-    auto workload = num::bcsstk24_like(scale);
-    auto app = std::make_shared<num::CholeskyApp>(
-        num::CholeskyApp::build(std::move(workload.matrix), block, procs));
-    target.graph = &app->mutable_graph();
-    target.owner = app;
-  } else if (name == "lu") {
-    auto workload = num::goodwin_like(scale);
-    auto app = std::make_shared<num::LuApp>(
-        num::LuApp::build(std::move(workload.matrix), block, procs));
-    target.graph = &app->mutable_graph();
-    target.owner = app;
-  } else if (name == "trisolve") {
-    auto workload = num::bcsstk24_like(scale);
-    auto app = std::make_shared<num::TriSolveApp>(
-        num::TriSolveApp::build(std::move(workload.matrix), block, procs));
-    target.graph = &app->mutable_graph();
-    target.owner = app;
-  } else if (name == "nbody") {
-    num::NBodyConfig config;  // small fixed grid; scale does not apply
-    auto app = std::make_shared<num::NBodyApp>(
-        num::NBodyApp::build(config, procs));
-    target.graph = &app->mutable_graph();
-    target.owner = app;
-  } else {
-    RAPID_FAIL(cat("unknown workload '", name,
-                   "' (expected fig2|cholesky|lu|trisolve|nbody|all)"));
-  }
-  return target;
-}
-
-sched::Schedule make_schedule(const graph::TaskGraph& graph,
-                              const std::string& ordering, int procs,
-                              const machine::MachineParams& params) {
-  const auto assignment = sched::owner_compute_tasks(graph, procs);
-  if (ordering == "rcp") {
-    return sched::schedule_rcp(graph, assignment, procs, params);
-  }
-  if (ordering == "mpo") {
-    return sched::schedule_mpo(graph, assignment, procs, params);
-  }
-  if (ordering == "dts") {
-    return sched::schedule_dts(graph, assignment, procs, params);
-  }
-  RAPID_FAIL(cat("unknown ordering '", ordering, "' (expected rcp|mpo|dts)"));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Flags flags;
@@ -133,17 +60,29 @@ int main(int argc, char** argv) {
   const double scale = flags.get_double("scale");
   const auto block = static_cast<sparse::Index>(flags.get_int("block"));
   const double capacity_frac = flags.get_double("capacity-frac");
-  const auto params = machine::MachineParams::cray_t3d(procs);
 
   int total_errors = 0;
   int total_warnings = 0;
   for (const std::string& name : names) {
     try {
-      const Target target = make_target(name, scale, block, procs);
-      const sched::Schedule schedule =
-          make_schedule(*target.graph, flags.get("ordering"), procs, params);
-      const rt::RunPlan plan = rt::build_run_plan(*target.graph, schedule);
-      const auto liveness = sched::analyze_liveness(*target.graph, schedule);
+      // A registry workload, or the paper's Figure 2 DAG: a bare graph with
+      // no numeric app, scheduled here.
+      std::unique_ptr<num::ShmWorkload> workload;
+      graph::TaskGraph fig2;
+      sched::Schedule fig2_schedule;
+      if (name == "fig2") {
+        fig2 = graph::make_paper_figure2_graph();
+        fig2_schedule =
+            num::schedule_owner_compute(fig2, procs, flags.get("ordering"));
+      } else {
+        workload = num::build_shm_workload(num::seed_spec(
+            name, scale, block, procs, flags.get("ordering")));
+      }
+      const graph::TaskGraph& graph = workload ? workload->graph() : fig2;
+      const sched::Schedule& schedule =
+          workload ? workload->schedule : fig2_schedule;
+      const rt::RunPlan plan = rt::build_run_plan(graph, schedule);
+      const auto liveness = sched::analyze_liveness(graph, schedule);
 
       verify::AuditOptions options;
       options.mailbox_slots =
@@ -163,11 +102,11 @@ int main(int argc, char** argv) {
       }
 
       const verify::AuditReport report =
-          verify::audit_plan(*target.graph, schedule, plan, options);
+          verify::audit_plan(graph, schedule, plan, options);
       std::printf("%-9s %s  (%d tasks, %d objects, %d procs, capacity %lld "
                   "bytes, MIN_MEM %lld, TOT %lld)\n",
                   name.c_str(), report.summary().c_str(),
-                  target.graph->num_tasks(), target.graph->num_data(), procs,
+                  graph.num_tasks(), graph.num_data(), procs,
                   static_cast<long long>(options.capacity_per_proc),
                   static_cast<long long>(liveness.min_mem()),
                   static_cast<long long>(liveness.tot_mem()));

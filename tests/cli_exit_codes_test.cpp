@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -40,10 +41,11 @@ std::string binary(const std::string& rel) {
   return ::access(path.c_str(), X_OK) == 0 ? path : std::string();
 }
 
-/// Runs the command with output discarded; returns the exit code, or -1 if
-/// the process did not exit normally.
-int run(const std::string& cmd) {
-  const int status = std::system((cmd + " >/dev/null 2>&1").c_str());
+/// Runs the command with stderr discarded and stdout sent to `out`; returns
+/// the exit code, or -1 if the process did not exit normally.
+int run(const std::string& cmd, const std::string& out = "/dev/null") {
+  const int status =
+      std::system((cmd + " >" + out + " 2>/dev/null").c_str());
   if (status == -1 || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
 }
@@ -90,11 +92,33 @@ TEST(CliExitCodes, ServeDistinguishesFindingsFromInfraError) {
   EXPECT_EQ(run(bin + " --runs=" + good), kExitOk);
 
   // A run the service rejects is a finding about the workload, not a tool
-  // failure: the report is still produced, the exit code says "look".
+  // failure: the report is still produced, the exit code says "look". That
+  // holds for malformed spec numbers too (a non-number, trailing
+  // characters, out of range, a repeated key): each bad line is rejected on
+  // its own and the good lines around it still complete.
   const std::string bad = dir + "/serve_bad.runs";
   std::ofstream(bad) << "grid:rows=6,cols=6,procs=4\n"
-                     << "nosuch:app=1\n";
-  EXPECT_EQ(run(bin + " --runs=" + bad), kExitFindings);
+                     << "nosuch:app=1\n"
+                     << "grid:rows=abc,cols=8,procs=2\n"
+                     << "grid:rows=8x,cols=8,procs=2\n"
+                     << "grid:rows=99999999999,cols=8,procs=2\n"
+                     << "grid:rows=8,cols=8,rows=9,procs=2\n"
+                     << "grid:rows=4,cols=4,procs=2\n";
+  const std::string records = dir + "/serve_bad.out";
+  EXPECT_EQ(run(bin + " --runs=" + bad, records), kExitFindings);
+  std::ifstream in(records);
+  const std::string out((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const auto count = [&out](const std::string& needle) {
+    int n = 0;
+    for (std::size_t at = out.find(needle); at != std::string::npos;
+         at = out.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\"state\": \"completed\""), 2) << out;
+  EXPECT_EQ(count("\"state\": \"rejected\""), 5) << out;
 
   // An unreadable runs file means the service never saw the work.
   EXPECT_EQ(run(bin + " --runs=" + dir + "/serve_missing.runs"),

@@ -80,9 +80,9 @@ void run_concurrent(const std::string& spec, int concurrency) {
     EXPECT_EQ(out.report.run_id, i);
     EXPECT_EQ(out.report.failure_kind, FailureKind::kNone)
         << spec << " run " << i;
-    // Exact numerics: bit-exact zero for the integer grid, the usual
+    // Exact numerics: bit-exact zero for an integer app, the usual
     // factorization threshold otherwise.
-    if (spec.rfind("grid", 0) == 0) {
+    if (wl->app->integer_exact()) {
       EXPECT_EQ(out.residual, 0.0) << spec << " run " << i;
     } else {
       EXPECT_LT(out.residual, 1e-10) << spec << " run " << i;

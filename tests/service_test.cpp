@@ -36,6 +36,9 @@ TEST(Service, MixedRunsCompleteExactlyWithinBudget) {
   ids.push_back(
       service.submit(grid_request("cholesky:grid=8,block=4,procs=4")));
   ids.push_back(service.submit(grid_request("lu:grid=8,block=4,procs=4")));
+  ids.push_back(
+      service.submit(grid_request("trisolve:grid=8,block=4,procs=4")));
+  ids.push_back(service.submit(grid_request("nbody:procs=4,sched=mpo")));
   for (const std::int64_t id : ids) {
     const RunRecord& r = service.wait(id);
     ASSERT_EQ(r.state, RunState::kCompleted) << r.spec << ": " << r.reason;
@@ -48,8 +51,8 @@ TEST(Service, MixedRunsCompleteExactlyWithinBudget) {
   EXPECT_EQ(service.wait(ids[0]).residual, 0.0);
 
   const ServiceReport report = service.report();
-  EXPECT_EQ(report.submitted, 3);
-  EXPECT_EQ(report.completed, 3);
+  EXPECT_EQ(report.submitted, 5);
+  EXPECT_EQ(report.completed, 5);
   EXPECT_EQ(report.failed + report.rejected + report.shed + report.expired,
             0);
   // The admission invariant: reservations never exceeded the budget, and
@@ -101,12 +104,25 @@ TEST(Service, RejectsCapacityInfeasiblePlanStructured) {
 }
 
 TEST(Service, RejectsUnbuildableSpecStructured) {
+  // An unknown app, and malformed numbers (not a number, trailing
+  // characters, out of range, a repeated key): each is a rejected run whose
+  // reason names the culprit — never an exception out of submit(), and
+  // never a run under a different plan.
   RuntimeService service;
-  const std::int64_t id = service.submit(grid_request("nosuch:thing=1"));
-  const RunRecord& r = service.wait(id);
-  ASSERT_EQ(r.state, RunState::kRejected);
-  EXPECT_EQ(r.admission.verdict, AdmissionVerdict::kRejected);
-  EXPECT_FALSE(r.reason.empty());
+  const struct {
+    const char* spec;
+    const char* named;
+  } cases[] = {{"nosuch:thing=1", "nosuch"},
+               {"grid:rows=abc,cols=8,procs=2", "rows=abc"},
+               {"grid:rows=8x,cols=8,procs=2", "rows=8x"},
+               {"grid:rows=99999999999,cols=8,procs=2", "rows=99999999999"},
+               {"grid:rows=8,cols=8,rows=9,procs=2", "\"rows\" given twice"}};
+  for (const auto& c : cases) {
+    const RunRecord& r = service.wait(service.submit(grid_request(c.spec)));
+    ASSERT_EQ(r.state, RunState::kRejected) << c.spec;
+    EXPECT_EQ(r.admission.verdict, AdmissionVerdict::kRejected);
+    EXPECT_NE(r.reason.find(c.named), std::string::npos) << r.reason;
+  }
   EXPECT_EQ(service.report().completed, 0);
 }
 

@@ -145,6 +145,16 @@ TEST(ShmTransportRun, LuResidualFourProcesses) {
   run_workload_on_shm("lu:grid=10,block=4,procs=4");
 }
 
+TEST(ShmTransportRun, TriSolveResidualFourProcesses) {
+  RAPID_SKIP_UNDER_TSAN();
+  run_workload_on_shm("trisolve:grid=10,block=4,procs=4,sched=mpo");
+}
+
+TEST(ShmTransportRun, NBodyResidualFourProcesses) {
+  RAPID_SKIP_UNDER_TSAN();
+  run_workload_on_shm("nbody:procs=4,sched=mpo");
+}
+
 // ---- exec mode (rapid_shm_worker) ------------------------------------------
 
 std::string worker_binary_path() {
@@ -163,14 +173,7 @@ std::string worker_binary_path() {
   return ::access(candidate.c_str(), X_OK) == 0 ? candidate : std::string();
 }
 
-TEST(ShmTransportRun, SpawnedWorkersRebuildThePlanFromSpec) {
-  RAPID_SKIP_UNDER_TSAN();
-  const std::string bin = worker_binary_path();
-  if (bin.empty()) {
-    GTEST_SKIP() << "rapid_shm_worker binary not found (set "
-                    "RAPID_SHM_WORKER_BIN)";
-  }
-  const std::string spec = "cholesky:grid=10,block=4,procs=4";
+void run_spawned_workload(const std::string& bin, const std::string& spec) {
   auto wl = num::build_shm_workload(spec);
   RunConfig config;
   config.params = machine::MachineParams::cray_t3d(wl->plan.num_procs);
@@ -183,8 +186,22 @@ TEST(ShmTransportRun, SpawnedWorkersRebuildThePlanFromSpec) {
   ThreadedExecutor exec(wl->plan, config, wl->make_init(), wl->make_body(),
                         options);
   const RunReport r = exec.run();
-  ASSERT_TRUE(r.executable) << r.failure;
-  EXPECT_LT(wl->residual(exec), 1e-10);
+  ASSERT_TRUE(r.executable) << spec << ": " << r.failure;
+  EXPECT_LT(wl->residual(exec), 1e-10) << spec;
+}
+
+TEST(ShmTransportRun, SpawnedWorkersRebuildThePlanFromSpec) {
+  RAPID_SKIP_UNDER_TSAN();
+  const std::string bin = worker_binary_path();
+  if (bin.empty()) {
+    GTEST_SKIP() << "rapid_shm_worker binary not found (set "
+                    "RAPID_SHM_WORKER_BIN)";
+  }
+  run_spawned_workload(bin, "cholesky:grid=10,block=4,procs=4");
+  // A paper stand-in matrix whose scale (0.1 + 0.2) only round-trips in
+  // full precision: the worker re-parses it and must rebuild the same plan.
+  run_spawned_workload(bin,
+                       num::seed_spec("trisolve", 0.1 + 0.2, 6, 4, "mpo"));
 }
 
 // ---- kill sweep ------------------------------------------------------------
