@@ -89,7 +89,10 @@ Trace::Trace(int num_procs, TraceConfig config)
 #endif
   const std::uint64_t cap =
       round_up_pow2(std::max<std::int32_t>(config.events_per_proc, 64));
-  for (Ring& ring : rings_) {
+  capacity_ = static_cast<std::int64_t>(cap);
+  for (int q = 0; q < num_procs; ++q) {
+    if (config.sole_proc >= 0 && q != config.sole_proc) continue;
+    Ring& ring = rings_[static_cast<std::size_t>(q)];
     ring.buf.resize(cap);
     ring.mask = cap - 1;
   }
@@ -111,9 +114,9 @@ std::vector<TraceEvent> Trace::events(int proc) const {
 
 std::int64_t Trace::dropped(int proc) const {
   const Ring& ring = rings_[static_cast<std::size_t>(proc)];
-  if (ring.buf.empty()) return 0;
+  if (ring.buf.empty()) return ring.lost;
   const std::int64_t cap = static_cast<std::int64_t>(ring.buf.size());
-  return ring.count > cap ? ring.count - cap : 0;
+  return (ring.count > cap ? ring.count - cap : 0) + ring.lost;
 }
 
 std::int64_t Trace::total_events() const {

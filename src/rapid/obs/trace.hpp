@@ -89,6 +89,10 @@ struct TraceConfig {
   /// ring overflows the oldest events are overwritten and dropped() grows;
   /// exporters handle the truncated prefix gracefully.
   std::int32_t events_per_proc = 1 << 16;
+  /// When >= 0, only this processor's ring is allocated and every other
+  /// ring stays empty (and must not be recorded into): a shm worker process
+  /// traces just its own rank.
+  std::int32_t sole_proc = -1;
 };
 
 class Trace {
@@ -97,6 +101,9 @@ class Trace {
 
   bool enabled() const { return enabled_; }
   int num_procs() const { return static_cast<int>(rings_.size()); }
+  /// Ring capacity per processor: events_per_proc rounded up to a power of
+  /// two (0 when disabled).
+  std::int64_t capacity() const { return capacity_; }
   std::int64_t epoch_ns() const { return epoch_ns_; }
 
   /// Owning run id (RunReport::run_id), tagged by the executor before any
@@ -148,11 +155,18 @@ class Trace {
 
   /// Events recorded for `proc` in total (including overwritten ones).
   std::int64_t recorded(int proc) const {
-    return rings_[static_cast<std::size_t>(proc)].count;
+    const Ring& ring = rings_[static_cast<std::size_t>(proc)];
+    return ring.count + ring.lost;
   }
 
   /// Events lost to ring overflow for `proc`.
   std::int64_t dropped(int proc) const;
+
+  /// Counts `events` that `proc` recorded but that never reached this ring
+  /// (a merged worker ring's overflow) in recorded() and dropped().
+  void note_lost(int proc, std::int64_t events) {
+    rings_[static_cast<std::size_t>(proc)].lost += events;
+  }
 
   std::int64_t total_events() const;
   std::int64_t total_dropped() const;
@@ -162,11 +176,13 @@ class Trace {
     std::vector<TraceEvent> buf;
     std::uint64_t mask = 0;
     std::int64_t count = 0;
+    std::int64_t lost = 0;  // see note_lost
   };
 
   bool enabled_;
   std::int64_t epoch_ns_;
   std::int64_t run_id_ = 0;
+  std::int64_t capacity_ = 0;
 #ifdef RAPID_TSC_CLOCK
   std::uint64_t epoch_tsc_ = 0;
   double ns_per_tick_ = 0.0;

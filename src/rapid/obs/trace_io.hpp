@@ -19,6 +19,8 @@ struct LoadedProcTrace {
   int proc = -1;
   std::int64_t epoch_ns = 0;
   std::vector<TraceEvent> events;  // oldest first
+  /// Events the ring overwrote before the dump (lost to overflow).
+  std::int64_t dropped = 0;
 };
 
 /// Writes `proc`'s ring (oldest first) to `path`. Returns false on I/O
@@ -30,7 +32,8 @@ bool save_proc_trace(const Trace& trace, int proc, const std::string& path);
 LoadedProcTrace load_proc_trace(const std::string& path);
 
 /// Appends src's events into dst's ring for src.proc, rebasing each
-/// timestamp from src's epoch onto dst's.
+/// timestamp from src's epoch onto dst's; src's overflow counts as lost in
+/// dst (Trace::note_lost).
 void merge_proc_trace(Trace* dst, const LoadedProcTrace& src);
 
 }  // namespace rapid::obs

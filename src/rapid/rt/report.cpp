@@ -32,6 +32,26 @@ void RecoveryCounters::merge(const RecoveryCounters& other) {
   task_retries += other.task_retries;
 }
 
+void RunReport::add_counters(std::int32_t proc, const CounterBlock& block) {
+  const auto q = static_cast<std::size_t>(proc);
+  maps_per_proc[q] = static_cast<std::int32_t>(block[kCtrMaps]);
+  peak_bytes_per_proc[q] = block[kCtrPeakBytes];
+  content_messages += block[kCtrContentMessages];
+  content_bytes += block[kCtrContentBytes];
+  put_batches += block[kCtrPutBatches];
+  flag_messages += block[kCtrFlagMessages];
+  addr_packages += block[kCtrAddrPackages];
+  addr_entries += block[kCtrAddrEntries];
+  suspended_sends += block[kCtrSuspendedSends];
+  tasks_executed += block[kCtrTasksExecuted];
+  recovery.nacks_sent += block[kCtrNacksSent];
+  recovery.resends += block[kCtrResends];
+  recovery.flag_resends += block[kCtrFlagResends];
+  recovery.duplicate_suppressions += block[kCtrDupSuppressions];
+  recovery.checksum_rejections += block[kCtrChecksumRejections];
+  recovery.task_retries += block[kCtrTaskRetries];
+}
+
 double RunReport::avg_maps() const {
   if (maps_per_proc.empty()) return 0.0;
   double total = 0.0;

@@ -1,6 +1,7 @@
 // Run configuration and result reporting shared by both executors.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -158,6 +159,31 @@ struct RunConfig {
   std::int32_t kernel_dispatch = -1;
 };
 
+/// The threaded executor's run counters, one slot each. Every rank counts
+/// into its own block; RunReport::add_counters folds a block into a report
+/// — after the in-proc threads joined, or after a shm worker published its
+/// block through the control segment.
+enum RunCounter : std::int32_t {
+  kCtrContentMessages = 0,
+  kCtrContentBytes,
+  kCtrPutBatches,
+  kCtrFlagMessages,
+  kCtrAddrPackages,
+  kCtrAddrEntries,
+  kCtrSuspendedSends,
+  kCtrTasksExecuted,
+  kCtrNacksSent,
+  kCtrResends,
+  kCtrFlagResends,
+  kCtrDupSuppressions,
+  kCtrChecksumRejections,
+  kCtrTaskRetries,
+  kCtrMaps,       // per rank, not summed: maps_per_proc
+  kCtrPeakBytes,  // per rank, not summed: peak_bytes_per_proc
+  kNumRunCounters,
+};
+using CounterBlock = std::array<std::int64_t, kNumRunCounters>;
+
 struct RunReport {
   /// Version of the to_json() document layout. Bumped when fields are
   /// added/renamed so downstream consumers of BENCH_executor.json and the
@@ -228,6 +254,10 @@ struct RunReport {
   double compute_us = 0.0;
   double send_us = 0.0;
   double map_us = 0.0;
+
+  /// Adds rank `proc`'s counter block: the event counters are summed, the
+  /// MAP count and peak bytes fill the rank's per-processor slots.
+  void add_counters(std::int32_t proc, const CounterBlock& block);
 
   double avg_maps() const;
   std::int64_t peak_bytes() const;

@@ -19,7 +19,8 @@ namespace {
 constexpr char kShmMagic[8] = {'R', 'A', 'P', 'I', 'D', 'S', 'H', 'M'};
 // v2: live_nacks / live_resends mirrors appended to ShmRankCtl so the
 // telemetry sampler can read per-rank recovery traffic mid-run.
-constexpr std::uint32_t kLayoutVersion = 2;
+// v3: ShmRunSpec embeds RunConfig; the never-set tuning fields are gone.
+constexpr std::uint32_t kLayoutVersion = 3;
 /// Bounded NACK ring per destination; a full ring drops the re-request
 /// (the waiter's next deadline re-sends it — NACKs are idempotent).
 constexpr std::int32_t kNackCap = 1024;
@@ -66,7 +67,7 @@ struct alignas(64) ShmRankCtl {
   std::atomic<std::int32_t> wait_retries;
   std::atomic<std::uint8_t> wait_exhausted;
   char error_text[448];
-  std::atomic<std::int64_t> counters[kNumShmCounters];
+  std::atomic<std::int64_t> counters[kNumRunCounters];
   /// Running recovery totals mirrored by the worker mid-run (the
   /// `counters` slots above are end-of-run, published with done). Read by
   /// the cross-process telemetry sampler; relaxed is fine, they are
@@ -263,7 +264,7 @@ ShmTransport::ShmTransport(ShmSegment seg, ProcId rank)
   ShmHeader* hdr = reinterpret_cast<ShmHeader*>(seg_.data());
   l_ = std::make_unique<Layout>(Layout::compute(
       seg_.data(), hdr->num_procs, hdr->num_data, hdr->num_tasks,
-      hdr->heap_bytes, hdr->spec.mailbox_slots));
+      hdr->heap_bytes, hdr->spec.config.mailbox_slots));
   data_bell_ = std::make_unique<FutexBell>(&l_->hdr->data_bell);
   control_bell_ = std::make_unique<FutexBell>(&l_->hdr->control_bell);
 }
@@ -277,7 +278,7 @@ std::unique_ptr<ShmTransport> ShmTransport::create(const std::string& name,
               "shm transport: bad dims");
   const Layout sizing =
       Layout::compute(nullptr, dims.num_procs, dims.num_data, dims.num_tasks,
-                      dims.heap_bytes, spec.mailbox_slots);
+                      dims.heap_bytes, spec.config.mailbox_slots);
   ShmSegment seg = ShmSegment::create(name, sizing.total_bytes);
   std::byte* base = seg.data();
 
@@ -300,7 +301,7 @@ std::unique_ptr<ShmTransport> ShmTransport::create(const std::string& name,
 
   const Layout l = Layout::compute(base, dims.num_procs, dims.num_data,
                                    dims.num_tasks, dims.heap_bytes,
-                                   spec.mailbox_slots);
+                                   spec.config.mailbox_slots);
   for (std::int32_t q = 0; q <= l.p; ++q) new (&l.ctl[q]) ShmRankCtl{};
   for (std::int64_t i = 0; i < l.p * l.num_data; ++i) {
     new (&l.versions[i]) std::atomic<std::int32_t>{-1};
@@ -556,11 +557,12 @@ LightState ShmTransport::light(ProcId q) const {
   return s;
 }
 
-void ShmTransport::publish_worker_done(
-    ProcId q, const std::int64_t (&counters)[kNumShmCounters]) {
+void ShmTransport::publish_worker_done(ProcId q,
+                                       const CounterBlock& counters) {
   ShmRankCtl& c = l_->ctl[q];
-  for (std::int32_t i = 0; i < kNumShmCounters; ++i) {
-    c.counters[i].store(counters[i], std::memory_order_relaxed);
+  for (std::int32_t i = 0; i < kNumRunCounters; ++i) {
+    c.counters[i].store(counters[static_cast<std::size_t>(i)],
+                        std::memory_order_relaxed);
   }
   c.done.store(1, std::memory_order_release);
 }
@@ -569,8 +571,13 @@ bool ShmTransport::worker_done(ProcId q) const {
   return l_->ctl[q].done.load(std::memory_order_acquire) != 0;
 }
 
-std::int64_t ShmTransport::worker_counter(ProcId q, ShmCounter which) const {
-  return l_->ctl[q].counters[which].load(std::memory_order_acquire);
+CounterBlock ShmTransport::worker_counters(ProcId q) const {
+  CounterBlock block{};
+  for (std::int32_t i = 0; i < kNumRunCounters; ++i) {
+    block[static_cast<std::size_t>(i)] =
+        l_->ctl[q].counters[i].load(std::memory_order_acquire);
+  }
+  return block;
 }
 
 void ShmTransport::publish_recovery(ProcId q, std::int64_t nacks_sent,
@@ -683,8 +690,17 @@ bool ShmSession::poll() {
   for (Child& c : children_) {
     if (c.pid < 0 || c.exited) continue;
     int st = 0;
-    const pid_t r = ::waitpid(c.pid, &st, WNOHANG);
+    const pid_t r =
+        ::waitpid(c.pid, &st, WNOHANG | WUNTRACED | WCONTINUED);
     if (r == c.pid) {
+      if (WIFSTOPPED(st)) {
+        c.stopped = true;
+        continue;
+      }
+      if (WIFCONTINUED(st)) {
+        c.stopped = false;
+        continue;
+      }
       c.exited = true;
       any = true;
       if (WIFEXITED(st)) {

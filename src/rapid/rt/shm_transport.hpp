@@ -50,30 +50,19 @@ inline constexpr int kShmWorkerFailed = 30;
 /// worker — forked or exec'd — executes under the exact same configuration
 /// it planned with.
 struct ShmRunSpec {
-  // RunConfig scalars.
-  std::int64_t capacity_per_proc = 0;
-  std::uint8_t active_memory = 1;
-  std::uint8_t alloc_policy = 0;  // mem::AllocPolicy
-  std::uint8_t slab_arena = 0;
-  std::int32_t mailbox_slots = 1;
-  /// RunConfig::kernel_dispatch (-1 = inherit the process-global level).
-  std::int32_t kernel_dispatch = -1;
+  /// The coordinator's RunConfig, verbatim (workers force audit off: the
+  /// coordinator audited before spawning).
+  RunConfig config;
+  // The ThreadedOptions the workers' protocol loop reads.
   /// ThreadedOptions::run_id for worker log tags (-1 = standalone run).
   std::int64_t run_id = -1;
-  // ThreadedOptions scalars.
-  double watchdog_seconds = 30.0;
-  double stall_check_seconds = 0.5;
-  double snapshot_wait_seconds = 0.25;
-  std::int32_t spin_iters = 64;
-  std::int64_t park_timeout_us = 2000;
-  std::uint8_t poison_freed = 0;
   std::uint8_t checksum = 1;
   RetryPolicy retry;
   std::int32_t run_attempt = 1;
   FaultPlan faults;
   double lease_timeout_seconds = 2.0;
-  // Tracing: workers dump per-rank rings into trace_dir for the
-  // coordinator to merge.
+  // Tracing: workers trace into rings of the coordinator Trace's capacity
+  // and dump them into trace_dir for the coordinator to merge.
   std::uint8_t trace_enabled = 0;
   std::int32_t trace_events_per_proc = 1 << 16;
   char trace_dir[256] = {};
@@ -84,27 +73,6 @@ struct ShmRunSpec {
   std::uint64_t plan_fingerprint = 0;
 };
 static_assert(std::is_trivially_copyable_v<ShmRunSpec>);
-
-/// Per-rank end-of-run counter slots (ShmRankCtl::counters indices).
-enum ShmCounter : std::int32_t {
-  kCtrContentMessages = 0,
-  kCtrContentBytes,
-  kCtrPutBatches,
-  kCtrFlagMessages,
-  kCtrAddrPackages,
-  kCtrAddrEntries,
-  kCtrSuspendedSends,
-  kCtrTasksExecuted,
-  kCtrNacksSent,
-  kCtrResends,
-  kCtrFlagResends,
-  kCtrDupSuppressions,
-  kCtrChecksumRejections,
-  kCtrTaskRetries,
-  kCtrMaps,
-  kCtrPeakBytes,
-  kNumShmCounters,
-};
 
 /// Cheap fingerprint of a plan's shape (dims + schedule order), enough to
 /// catch an exec-mode worker that rebuilt a different plan.
@@ -176,12 +144,12 @@ class ShmTransport final : public Transport {
   std::int64_t live_resends(ProcId q) const;
 
   // Worker/coordinator extras --------------------------------------------
-  /// Worker at clean end: stores its counter slots and raises done
+  /// Worker at clean end: stores its counter block and raises done
   /// (release) so the coordinator's sums are exact.
-  void publish_worker_done(ProcId q,
-                           const std::int64_t (&counters)[kNumShmCounters]);
+  void publish_worker_done(ProcId q, const CounterBlock& counters);
   bool worker_done(ProcId q) const;
-  std::int64_t worker_counter(ProcId q, ShmCounter which) const;
+  /// Rank q's published counter block (valid once worker_done(q)).
+  CounterBlock worker_counters(ProcId q) const;
   /// Lease age in seconds (now - last beat); a huge value before the first
   /// beat so "never attached" reads as lapsed once the grace period ends.
   double lease_age_seconds(ProcId q) const;
@@ -218,6 +186,9 @@ class ShmSession {
     int exit_code = 0;
     int signal = 0;   // nonzero if terminated by a signal
     bool reported = false;  // coordinator already classified this exit
+    /// Stopped by a signal (SIGSTOP, SIGTSTP, a debugger) and not yet
+    /// continued: a stopped rank cannot beat, whatever state it is in.
+    bool stopped = false;
   };
 
   using WorkerFn = std::function<int(ProcId)>;
@@ -228,6 +199,7 @@ class ShmSession {
   void spawn_exec(const std::string& worker_path);
 
   /// Non-blocking waitpid sweep; returns true if any child newly exited.
+  /// Also tracks stops and continues (Child::stopped).
   bool poll();
   bool all_exited() const;
   Child& child(ProcId q) { return children_[static_cast<std::size_t>(q)]; }
@@ -243,9 +215,8 @@ class ShmSession {
 };
 
 /// Runs one rank's worker protocol loop against an attached/forked shm
-/// transport (defined next to the executor internals in
-/// threaded_executor.cpp; shared by the fork children and the
-/// rapid_shm_worker binary). Returns the worker exit code.
+/// transport (defined in shm_coordinator.cpp; shared by the fork children
+/// and the rapid_shm_worker binary). Returns the worker exit code.
 int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
                    const ObjectInit& init, const TaskBody& body);
 

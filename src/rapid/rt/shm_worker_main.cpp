@@ -65,11 +65,8 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       // The segment is attached: report through it so the coordinator sees
       // a structured failure, not just a nonzero exit.
-      tp->report_failure(static_cast<graph::ProcId>(rank),
-                         rt::FailureKind::kTaskError, e.what());
-      tp->request_abort();
-      tp->data_bell().ring();
-      tp->control_bell().ring();
+      tp->fail_stop(static_cast<graph::ProcId>(rank),
+                    rt::FailureKind::kTaskError, e.what());
       rc = rt::kShmWorkerFailed;
     }
   } catch (const std::exception& e) {

@@ -1,2086 +1,711 @@
+// The per-rank step loop (REC/EXE/SND/MAP/END, paper Figure 3(b)) with its
+// readiness checks, shared by the in-proc threads and shm_worker_run; the
+// per-run setup both backends use; run_inproc; and the public API.
 #include "rapid/rt/threaded_executor.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstring>
-#include <deque>
-#include <filesystem>
-#include <mutex>
-#include <optional>
-#include <span>
+#include <csignal>
 #include <thread>
 #include <utility>
 
-#include <signal.h>
-#include <unistd.h>
-
 #include "rapid/num/dispatch.hpp"
 #include "rapid/obs/metrics.hpp"
-#include "rapid/obs/trace.hpp"
-#include "rapid/obs/trace_io.hpp"
-#include "rapid/rt/map_engine.hpp"
-#include "rapid/rt/proc_failure.hpp"
-#include "rapid/rt/shm_transport.hpp"
-#include "rapid/rt/stall.hpp"
-#include "rapid/rt/transport.hpp"
-#include "rapid/support/backoff.hpp"
+#include "rapid/rt/executor_impl.hpp"
 #include "rapid/support/checksum.hpp"
 #include "rapid/support/log.hpp"
-#include "rapid/support/stopwatch.hpp"
 #include "rapid/support/str.hpp"
 #include "rapid/verify/auditor.hpp"
 
 namespace rapid::rt {
 
-namespace {
+using Impl = ThreadedExecutor::Impl;
 
-void sleep_us(std::int64_t us) {
-  std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
+Impl::Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
+           TaskBody body_, ThreadedOptions options_)
+    : plan(plan_),
+      config(config_),
+      init(std::move(init_)),
+      body(std::move(body_)),
+      options(std::move(options_)),
+      faults(options.faults),
+      faults_on(options.faults.enabled()),
+      induced_on(faults_on &&
+                 options.run_attempt <= options.faults.induced_fault_runs),
+      checksum_on(options.checksum),
+      recovery_on(options.retry.enabled()),
+      trace(options.trace),
+      tracing(options.trace != nullptr && options.trace->enabled()),
+      effective_park_us(faults_on && options.faults.force_park_timeout
+                            ? options.faults.forced_park_timeout_us
+                            : kParkTimeoutUs),
+      effective_watchdog(
+          recovery_on
+              ? std::max(options.watchdog_seconds,
+                         4.0 * static_cast<double>(
+                                   options.retry.total_wait_us()) /
+                             1e6)
+              : options.watchdog_seconds) {}
 
-}  // namespace
+// ---- readiness ---------------------------------------------------------------
 
-struct ThreadedExecutor::Impl {
-  const RunPlan& plan;
-  const RunConfig config;  // by value: callers often pass temporaries
-  ObjectInit init;
-  TaskBody body;
-  ThreadedOptions options;
-  /// Copied out of options so every hook site is one `if (faults_on)`
-  /// branch on a const member; enabled() false means zero injected work.
-  const FaultPlan faults;
-  const bool faults_on;
-  /// Induced (non-probabilistic) failures only fire on run attempts within
-  /// FaultPlan::induced_fault_runs — run_with_recovery's restarted attempts
-  /// then run clean.
-  const bool induced_on;
-  const bool checksum_on;
-  const bool recovery_on;
-  /// Event tracer. Same pattern as faults_on: `tracing` is a const member
-  /// so every record site is one predictable branch when tracing is off.
-  obs::Trace* const trace;
-  const bool tracing;
-  const std::int64_t effective_park_us;
-  /// Watchdog budget scaled by the retry policy: an in-flight recovery
-  /// (bounded by RetryPolicy::total_wait_us per wait) must never be
-  /// misdiagnosed as a watchdog-level deadlock. All monitor and retry
-  /// deadlines are steady_clock-based (Stopwatch and WaitTracker), so
-  /// wall-clock jumps can neither starve nor spuriously fire them.
-  const double effective_watchdog;
-
-  /// Identity + deadline of the wait a processor is currently blocked in
-  /// (worker-private). Deadlines are monotonic (now_ns) and grow per the
-  /// RetryPolicy; identity changes reset the attempt count (a changed gate
-  /// means the previous one was satisfied — progress, not a retry).
-  struct WaitTracker {
-    bool active = false;
-    bool exhausted = false;
-    DataId object = graph::kInvalidData;
-    std::int32_t version = -1;
-    TaskId flag_task = graph::kInvalidTask;
-    std::int32_t attempts = 0;
-    std::int64_t started_ns = 0;
-    std::int64_t deadline_ns = 0;
-  };
-
-  /// The first unmet gate of a task, as seen by its processor right now.
-  struct GateRef {
-    DataId object = graph::kInvalidData;
-    std::int32_t version = -1;
-    std::int32_t have = -1;
-    TaskId flag_task = graph::kInvalidTask;
-    /// The version arrived but its checksum was rejected: the wait is for a
-    /// resend, and the first re-request goes out without waiting for the
-    /// deadline.
-    bool rejected = false;
-  };
-
-  /// A put that transmit_batch has staged (payload copied, checksummed,
-  /// fault hooks applied) but not yet published. The publication pass
-  /// replays these in order.
-  struct StagedPut {
-    DataId object = graph::kInvalidData;
-    std::int32_t version = -1;
-    std::int64_t size = 0;
-    std::uint32_t crc = 0;
-    std::uint32_t attempt = 0;
-  };
-
-  /// Per-processor private state, touched only by its own thread.
-  struct Private {
-    std::unique_ptr<ProcMemory> memory;
-    std::int32_t pos = 0;
-    std::int32_t maps = 0;
-    /// Owner-side address table: offset of owned object d inside reader
-    /// r's heap, at [owned_index[d] * num_procs + r]; kNullOffset =
-    /// unknown. Flat array — the send path does no tree walks.
-    std::vector<mem::Offset> known_addrs;
-    /// Owner-side put sequence numbers, parallel to known_addrs: how many
-    /// puts this owner has issued into (object, reader)'s slot. Single
-    /// lifetime window per (object, reader) keeps the slot's address stable,
-    /// so the counter spans original puts and resends alike.
-    std::vector<std::uint32_t> sent_seq;
-    /// Suspended sends grouped by destination, plus per-peer epochs: a
-    /// destination's queue is rescanned only when new addresses from that
-    /// peer arrived since the last scan (addr_epoch advanced past
-    /// scanned_epoch), not on every poll.
-    std::vector<std::deque<ContentSend>> suspended_by_dest;
-    std::vector<std::uint32_t> addr_epoch;
-    std::vector<std::uint32_t> scanned_epoch;
-    std::int64_t suspended_count = 0;
-    /// Put-coalescing scratch, worker-private: the sends a SND state emits
-    /// before routing (send_scratch), the per-destination grouping buckets
-    /// (batch_by_dest, cleared after each flush), and the staged-but-not-
-    /// yet-published puts of the batch in flight (staged).
-    std::vector<ContentSend> send_scratch;
-    std::vector<std::vector<ContentSend>> batch_by_dest;
-    std::vector<StagedPut> staged;
-    std::vector<std::int32_t> epoch_remaining;  // flattened, see epoch_base
-    std::vector<std::int32_t> current_version;  // per owned object
-    /// Reader-side verification state, per object: the put seq whose
-    /// payload last passed (verified) or failed (rejected) its CRC. Gating
-    /// recomputation on the seq makes verification race-free against
-    /// resends: bytes are only read at a seq the owner has fully published,
-    /// and never re-read at a seq already rejected (the owner's next
-    /// retransmit bumps the seq past it). Reset by the MAP free hook when
-    /// the object's region is recycled.
-    std::vector<std::uint32_t> verified_seq;
-    std::vector<std::uint32_t> rejected_seq;
-    /// A fresh checksum rejection fast-tracks exactly one re-request.
-    bool fast_nack = false;
-    /// Address-package sequence stamping (per destination) and replay
-    /// suppression (per source).
-    std::vector<std::uint32_t> pkg_seq_sent;
-    std::vector<std::uint32_t> pkg_seq_seen;
-    /// Bounded re-request bookkeeping.
-    WaitTracker wait;
-    std::vector<RetryRecord> retry_log;
-    std::size_t exhausted_index = 0;  // retry_log slot of the exhausted wait
-    /// END-state bookkeeping and stall-snapshot plumbing (worker-private).
-    bool counted_quiescent = false;
-    std::optional<Backoff> backoff;  // the worker loop's backoff
-    /// Last protocol state recorded to the tracer (change-only recording);
-    /// 255 = none yet. Worker-private like everything else here.
-    std::uint8_t traced_state = 255;
-    std::uint64_t snap_seen = 0;     // last snapshot generation served
-    std::int64_t addr_pkgs_sent = 0;  // deterministic per-proc ordinal
-    std::int64_t park_accum = 0;      // parks from finished MAP-send waits
-    std::int64_t timeout_accum = 0;
-    /// Process-kill fault bookkeeping: deterministic per-(rank, phase)
-    /// entry ordinals (indexed by FaultPlan::kKillRec..kKillMap), and the
-    /// last position whose REC entry was counted (REC counts positions,
-    /// not poll iterations).
-    std::int64_t kill_ordinals[4] = {0, 0, 0, 0};
-    std::int32_t last_rec_pos = -1;
-  };
-
-  std::vector<Private> priv;
-  std::vector<std::size_t> epoch_base;  // per object, into epoch_remaining
-  /// Dense index of each object among its owner's permanents (for the
-  /// known_addrs tables); -1 until built.
-  std::vector<std::int32_t> owned_index;
-
-  /// The one-sided transport behind the data plane: windows, mailboxes,
-  /// NACK channels, doorbells, the abort/quiescence/failure control plane,
-  /// and the light per-processor status (plus leases, cross-process).
-  /// `win` caches the raw window views so the hot path stays devirtualized;
-  /// `bell`/`control_bell` alias the transport's bells. owned_tp holds the
-  /// in-process backend; shm runs point tp into the session's transport.
-  std::unique_ptr<Transport> owned_tp;
-  Transport* tp = nullptr;
-  std::vector<WindowView> win;
-  Bell* bell = nullptr;
-  Bell* control_bell = nullptr;
-  /// Coordinator-side shm session (segment + worker processes); kept on
-  /// the Impl so read_object can still reach the owner heaps after run().
-  std::unique_ptr<ShmSession> session;
-
-  std::shared_ptr<const StallReport> stall_report;  // set by the monitor
-  bool completed = false;  // run() finished cleanly; gates read_object()
-  RunReport last_report;   // filled by run() even on the throwing paths
-
-  /// Cooperative cancellation. cancel() only sets the flag (it may race
-  /// run() setup, so it must not touch the transport); the monitor and the
-  /// shm coordinator poll it every heartbeat and perform the actual abort
-  /// from the thread that owns the control-plane pointers.
-  std::atomic<bool> cancel_requested{false};
-  std::mutex cancel_m;
-  std::string cancel_reason;
-  /// Wall clock of the current attempt, reset at run() entry; the
-  /// attempt_deadline_us budget is measured against it.
-  Stopwatch since_run_start;
-
-  /// Cooperative stall-snapshot handshake: the monitor bumps snap_gen;
-  /// each worker notices at the top of its protocol loop (or inside a
-  /// blocked MAP send), publishes its own private state into snap_slots,
-  /// and acks. The monitor never touches worker-private data directly.
-  std::atomic<std::uint64_t> snap_gen{0};
-  std::mutex snap_m;
-  std::vector<ProcSnapshot> snap_slots;
-  std::atomic<std::int32_t> snap_acked{0};
-
-  /// Waiters whose bounded re-requests ran out and are still unhealed. The
-  /// monitor escalates only when this is nonzero AND global progress has
-  /// stopped — exhaustion against a merely-slow owner heals itself and
-  /// decrements before the stall window closes.
-  std::atomic<std::int32_t> exhausted_waiters{0};
-
-  // Counters (relaxed; exact totals gathered after join).
-  std::atomic<std::int64_t> content_messages{0}, content_bytes{0},
-      put_batches{0}, flag_messages{0}, addr_packages{0}, addr_entries{0},
-      suspended_sends{0}, tasks_executed{0}, dropped_packages{0};
-  // Recovery counters (RunReport::recovery).
-  std::atomic<std::int64_t> nacks_sent{0}, resends{0}, flag_resends{0},
-      duplicate_suppressions{0}, checksum_rejections{0}, task_retries{0};
-
-  Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
-       TaskBody body_, ThreadedOptions options_)
-      : plan(plan_),
-        config(config_),
-        init(std::move(init_)),
-        body(std::move(body_)),
-        options(options_),
-        faults(options_.faults),
-        faults_on(options_.faults.enabled()),
-        induced_on(faults_on &&
-                   options_.run_attempt <= options_.faults.induced_fault_runs),
-        checksum_on(options_.checksum),
-        recovery_on(options_.retry.enabled()),
-        trace(options_.trace),
-        tracing(options_.trace != nullptr && options_.trace->enabled()),
-        effective_park_us(faults_on && options_.faults.force_park_timeout
-                              ? options_.faults.forced_park_timeout_us
-                              : options_.park_timeout_us),
-        effective_watchdog(
-            recovery_on
-                ? std::max(options_.watchdog_seconds,
-                           4.0 * static_cast<double>(
-                                     options_.retry.total_wait_us()) /
-                               1e6)
-                : options_.watchdog_seconds) {}
-
-  void fail(ProcId q, std::string what, FailureKind kind) {
-    tp->report_failure(q, kind, what);
-    tp->request_abort();
-    bell->ring();          // wake parked workers so they observe the abort
-    control_bell->ring();  // and the monitor
+/// Reader-side trust in the last put of `d` (readiness already checked):
+/// recompute the CRC only at a put sequence not yet verified or rejected.
+/// Gating on the seq is what makes verification race-free against owner
+/// resends — bytes are only read at a fully published seq, and a NACK for
+/// a rejected seq reaches the owner (through the inbox mutex) strictly
+/// after the reader's byte reads, ordering any retransmit's memcpy after
+/// them.
+inline bool Impl::content_trusted(ProcId q, DataId d, GateRef* gate) {
+  Private& me = priv[q];
+  const WindowView& mine = win[static_cast<std::size_t>(q)];
+  const std::uint32_t seq = mine.put_seq[d].load(std::memory_order_acquire);
+  if (seq == 0) return false;  // version visible, seq racing: retry soon
+  if (me.verified_seq[d] == seq) return true;
+  if (me.rejected_seq[d] == seq) {
+    if (gate) gate->rejected = true;
+    return false;  // known-bad copy: wait for the resend
   }
-
-  void bump_progress() { bell->ring(); }
-
-  /// Mirror the running recovery totals into the transport's control plane
-  /// so an external sampler sees per-rank NACK/resend rates mid-run. Only
-  /// called on recovery paths (already cold); no-op in-proc.
-  void publish_recovery_counters(ProcId q) {
-    tp->publish_recovery(
-        q, nacks_sent.load(std::memory_order_relaxed),
-        resends.load(std::memory_order_relaxed) +
-            flag_resends.load(std::memory_order_relaxed));
-  }
-
-  /// Publishes q's light protocol state (and, cross-process, refreshes its
-  /// heartbeat lease).
-  void set_state(ProcId q, ProcState s) {
-    tp->beat(q, static_cast<std::uint8_t>(s), priv[q].pos);
-  }
-
-  /// Process-kill fault hook: rank q SIGKILLs itself at its nth entry into
-  /// `phase`. Real process death only — the in-process backend ignores the
-  /// plan (a thread cannot fail independently of the run).
-  void maybe_kill(ProcId q, std::int32_t phase) {
-    Private& me = priv[q];
-    const std::int64_t ordinal = ++me.kill_ordinals[phase];
-    if (induced_on && tp->cross_process() &&
-        faults.should_kill(q, phase, ordinal)) {
-      std::raise(SIGKILL);
-    }
-  }
-
-  /// Record entry into one of the paper's five protocol states
-  /// (change-only: re-entering the current state records nothing).
-  void trace_state(ProcId q, obs::ProtoState s) {
-    if (!tracing) return;
-    Private& me = priv[q];
-    if (me.traced_state == static_cast<std::uint8_t>(s)) return;
-    me.traced_state = static_cast<std::uint8_t>(s);
-    trace->record(q, obs::EventKind::kStateEnter,
-                  static_cast<std::int32_t>(s));
-  }
-
-  /// backoff.pause() with park accounting into the trace: one kPark event
-  /// per pause that actually parked (spin-only pauses record nothing).
-  void traced_pause(ProcId q, Backoff& backoff, std::uint64_t seen) {
-    if (!tracing) {
-      backoff.pause(seen);
-      return;
-    }
-    const std::int64_t before = backoff.parks();
-    backoff.pause(seen);
-    const std::int64_t parked = backoff.parks() - before;
-    if (parked > 0) {
-      trace->record(q, obs::EventKind::kPark,
-                    static_cast<std::int32_t>(parked));
-    }
-  }
-
-  std::size_t slot_index(DataId d, ProcId reader) const {
-    return static_cast<std::size_t>(owned_index[d]) *
-               static_cast<std::size_t>(plan.num_procs) +
-           static_cast<std::size_t>(reader);
-  }
-
-  mem::Offset& addr_slot(Private& me, DataId d, ProcId reader) {
-    return me.known_addrs[slot_index(d, reader)];
-  }
-
-  // ---- owner-side sending ----------------------------------------------
-
-  /// The coalesced RMA put: every send of the batch targets `dest`, and the
-  /// batch runs as one staging pass followed by one publication pass with a
-  /// single doorbell ring at the end — the trace-driven hot-path fix for SND
-  /// states that fan several small objects into the same destination (one
-  /// bell ring, one counter cache-line bounce per *batch* instead of per
-  /// put). Per put the protocol is unchanged: payload memcpy into the
-  /// destination heap with no lock held, then a release publish in the
-  /// order crc (relaxed) → version (release) → seq (release) — readiness
-  /// gates on version, trust gates on seq, and an acquire load of seq makes
-  /// the payload, crc, and version all visible. Publication replays the
-  /// batch in staging order, so per (object, dest) nothing is reordered.
-  /// Always runs on the owner's thread (complete_task / initial sends / CQ
-  /// dispatch / NACK resend), so the copies are program-ordered and the
-  /// version/crc/seq slots keep a single writer. The put-delay fault
-  /// stretches the window between copy and publication — bytes written,
-  /// visibility withheld — which a correct reader must never notice; with
-  /// coalescing the whole batch sits staged through the slowest put's
-  /// window. The corruption fault flips a destination byte inside that same
-  /// window, which the checksum must catch before the content is trusted.
-  void transmit_batch(ProcId q, ProcId dest,
-                      std::span<const ContentSend> sends) {
-    Private& me = priv[q];
-    const WindowView& dst = win[dest];
-    const WindowView& mine = win[q];
-    auto& staged = me.staged;
-    staged.clear();
-    std::int64_t batch_bytes = 0;
-    std::int64_t delay_us = 0;
-    for (const ContentSend& s : sends) {
-      RAPID_CHECK(s.dest == dest, "batched send to the wrong destination");
-      RAPID_CHECK(me.current_version[s.object] == s.version,
-                  cat("object ", plan.graph->data(s.object).name,
-                      " overwritten before version ", s.version,
-                      " was sent"));
-      const mem::Offset dst_off = addr_slot(me, s.object, dest);
-      RAPID_CHECK(dst_off != mem::kNullOffset, "transmit without address");
-      const std::int64_t size = plan.graph->data(s.object).size_bytes;
-      const mem::Offset src_off = me.memory->offset_of(s.object);
-      const std::uint32_t attempt = ++me.sent_seq[slot_index(s.object, dest)];
-      if (tracing) {
-        trace->record(q, obs::EventKind::kPut, s.object, s.version, dest,
-                      size, static_cast<std::uint16_t>(attempt));
-      }
-      if (size > 0) {
-        tp->put(dst, dst_off, mine.heap + src_off, size);
-      }
-      std::uint32_t crc = 0;
-      if (checksum_on) {
-        // Digest of the source bytes (stable: the owner is the only writer
-        // of its own object and is not inside a task body here).
-        crc = crc32c({mine.heap + src_off, static_cast<std::size_t>(size)});
-      }
-      if (faults_on && size > 0 &&
-          faults.corrupt_put(s.object, s.version, dest, attempt)) {
-        const auto [site, mask] = faults.corrupt_site(s.object, s.version,
-                                                      dest);
-        dst.heap[static_cast<std::ptrdiff_t>(dst_off) +
-                 static_cast<std::ptrdiff_t>(
-                     site % static_cast<std::uint64_t>(size))] ^=
-            static_cast<std::byte>(mask);
-      }
-      if (faults_on) {
-        delay_us = std::max(delay_us,
-                            faults.put_delay_us(s.object, s.version, dest));
-      }
-      staged.push_back({s.object, s.version, size, crc, attempt});
-      batch_bytes += size;
-    }
-    // One delay for the whole batch, stretched to its slowest put: every
-    // staged payload stays unpublished through the window, which is exactly
-    // the copied-but-invisible state the fault models.
-    if (delay_us > 0) sleep_us(delay_us);
-    for (const StagedPut& p : staged) {
-      // The one publication-order contract (crc relaxed -> version
-      // release max-merge -> seq release), defined once on the Transport.
-      tp->publish(dst, p.object, p.version, checksum_on, p.crc, p.attempt);
-      if (p.attempt > 1) {
-        resends.fetch_add(1, std::memory_order_relaxed);
-        publish_recovery_counters(q);
-      }
-      if (tracing) {
-        trace->record(q, p.attempt > 1 ? obs::EventKind::kResend
-                                       : obs::EventKind::kPutPublish,
-                      p.object, p.version, dest, p.size,
-                      static_cast<std::uint16_t>(p.attempt));
-      }
-    }
-    content_messages.fetch_add(static_cast<std::int64_t>(sends.size()),
-                               std::memory_order_relaxed);
-    content_bytes.fetch_add(batch_bytes, std::memory_order_relaxed);
-    put_batches.fetch_add(1, std::memory_order_relaxed);
-    bump_progress();
-  }
-
-  /// Single-put form (NACK resends and other one-off paths): a batch of one.
-  void transmit(ProcId q, const ContentSend& s) {
-    transmit_batch(q, s.dest, {&s, 1});
-  }
-
-  void trigger_send(ProcId q, const ContentSend& s) {
-    Private& me = priv[q];
-    if (addr_slot(me, s.object, s.dest) != mem::kNullOffset) {
-      transmit(q, s);
-    } else {
-      RAPID_CHECK(config.active_memory, "baseline must know every address");
-      me.suspended_by_dest[s.dest].push_back(s);
-      ++me.suspended_count;
-      suspended_sends.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Route a SND state's sends: coalesce the ones whose destination buffer
-  /// addresses are already known into one transmit_batch per destination
-  /// (per-destination program order preserved); suspend the rest exactly as
-  /// trigger_send would.
-  void dispatch_sends(ProcId q, std::span<const ContentSend> sends) {
-    if (sends.empty()) return;
-    if (sends.size() == 1) {
-      trigger_send(q, sends.front());
-      return;
-    }
-    Private& me = priv[q];
-    bool any_ready = false;
-    for (const ContentSend& s : sends) {
-      if (addr_slot(me, s.object, s.dest) != mem::kNullOffset) {
-        me.batch_by_dest[s.dest].push_back(s);
-        any_ready = true;
-      } else {
-        RAPID_CHECK(config.active_memory, "baseline must know every address");
-        me.suspended_by_dest[s.dest].push_back(s);
-        ++me.suspended_count;
-        suspended_sends.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (!any_ready) return;
-    for (ProcId r = 0; r < plan.num_procs; ++r) {
-      auto& batch = me.batch_by_dest[r];
-      if (batch.empty()) continue;
-      transmit_batch(q, r, batch);
-      batch.clear();
-    }
-  }
-
-  void send_flag(ProcId q, ProcId dest, TaskId t) {
-    tp->raise_flag(win[dest], t);
-    flag_messages.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) trace->record(q, obs::EventKind::kFlagSend, t, 0, dest);
-    bump_progress();
-  }
-
-  // ---- re-request (NACK) recovery --------------------------------------
-
-  /// Waiter side: ask the owner to (re)send the message the current wait
-  /// is missing. For content waits, the request carries the waiter's own
-  /// buffer offset — so a lost address package is healed by the re-request
-  /// itself — and the last put sequence the waiter *examined* (verified or
-  /// rejected), NOT a fresh load of put_seq: a newer, not-yet-examined put
-  /// means the wait is about to resolve, and advertising its sequence
-  /// would let the owner retransmit concurrently with this reader's first
-  /// CRC pass over those very bytes. With the examined sequence, a resend
-  /// can only target a sequence whose bytes this reader is done reading
-  /// (rejected copies are never re-read; verified ones are gated by the
-  /// WAR anti-edges), which is what makes the resend memcpy race-free.
-  void send_nack(ProcId q, const GateRef& gate) {
-    Private& me = priv[q];
-    NackRequest n;
-    n.requester = q;
-    ProcId owner;
-    if (gate.object != graph::kInvalidData) {
-      owner = plan.graph->data(gate.object).owner;
-      n.object = gate.object;
-      n.version = gate.version;
-      n.reader_offset = me.memory->offset_of(gate.object);
-      n.observed_seq = std::max(me.verified_seq[gate.object],
-                                me.rejected_seq[gate.object]);
-    } else {
-      owner = plan.schedule.proc_of_task[gate.flag_task];
-      n.flag_task = gate.flag_task;
-    }
-    nacks_sent.fetch_add(1, std::memory_order_relaxed);
-    publish_recovery_counters(q);
-    if (tracing) {
-      if (gate.object != graph::kInvalidData) {
-        trace->record(q, obs::EventKind::kNack, gate.object, gate.version,
-                      owner, 0, static_cast<std::uint16_t>(n.observed_seq));
-      } else {
-        trace->record(q, obs::EventKind::kNack, -1,
-                      static_cast<std::int32_t>(gate.flag_task), owner);
-      }
-    }
-    if (induced_on && faults.drop_nacks) return;  // lost recovery traffic
-    tp->push_nack(owner, n);
-    bump_progress();  // wake the owner if parked
-  }
-
-  /// Owner side: service one re-request idempotently. Replay safety
-  /// (docs/PROTOCOL.md): the version/crc/seq slots are single-writer, an
-  /// object has one lifetime window per reader (so the slot address is
-  /// stable), and a resend is issued only when the request's observed_seq
-  /// equals this owner's sent_seq — at most one retransmit per observed
-  /// state, and never one that could race the reader's verification of a
-  /// newer put. A waiter still needing version v implies (by the WAR
-  /// anti-edges of a dependence-complete plan) the owner's current_version
-  /// is still v, so retransmitting current content is consistent.
-  bool service_nack(ProcId q, const NackRequest& n) {
-    Private& me = priv[q];
-    if (n.flag_task != graph::kInvalidTask) {
-      // Flag stores are idempotent; resend iff the task completed here.
-      if (plan.schedule.pos_of_task[n.flag_task] < me.pos) {
-        send_flag(q, n.requester, n.flag_task);
-        flag_resends.fetch_add(1, std::memory_order_relaxed);
-        publish_recovery_counters(q);
-        return true;
-      }
-      return false;  // not yet complete: normal completion will deliver it
-    }
-    const DataId d = n.object;
-    bool installed = false;
-    mem::Offset& slot = addr_slot(me, d, n.requester);
-    if (slot == mem::kNullOffset) {
-      // The address package carrying this buffer was lost: the re-request
-      // heals it (the waiter always knows its own buffer — Fact I). The CQ
-      // scan after this drain dispatches the suspended send.
-      slot = n.reader_offset;
-      ++me.addr_epoch[n.requester];
-      installed = true;
-    }
-    if (me.current_version[d] < n.version) {
-      // The epoch producing the needed version has not completed here yet;
-      // its completion will send normally. Nothing to resend.
-      return installed;
-    }
-    if (me.current_version[d] > n.version) {
-      // Stale re-request: the waiter was already satisfied (its NACK raced
-      // the delivery). WAR anti-edges forbid this while the wait is real.
-      duplicate_suppressions.fetch_add(1, std::memory_order_relaxed);
-      return installed;
-    }
-    auto& queue = me.suspended_by_dest[n.requester];
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-      if (it->object == d && it->version == n.version) {
-        // The original send never left: it was suspended waiting for the
-        // very address this re-request carried (or that arrived late).
-        // Dispatch it here AND erase it, so neither a second queued NACK
-        // nor the CQ scan after this drain can transmit it again — a
-        // double dispatch would memcpy over bytes the waiter may already
-        // be CRC-verifying from the first copy.
-        transmit(q, *it);
-        queue.erase(it);
-        --me.suspended_count;
-        return true;
-      }
-    }
-    if (installed) return true;  // nothing suspended: completion will send
-    if (me.sent_seq[slot_index(d, n.requester)] != n.observed_seq) {
-      // A newer put than the waiter observed is already published (the
-      // NACK raced it): replaying now could race the waiter's verification
-      // of that put. Suppress — the waiter re-checks before re-requesting.
-      duplicate_suppressions.fetch_add(1, std::memory_order_relaxed);
-      return installed;
-    }
-    transmit(q, ContentSend{d, n.version, n.requester});
+  const std::int64_t size = plan.graph->data(d).size_bytes;
+  const mem::Offset off = me.memory->offset_of(d);
+  const std::uint32_t expect =
+      mine.received_crc[d].load(std::memory_order_relaxed);
+  const std::uint32_t actual =
+      crc32c({mine.heap + off, static_cast<std::size_t>(size)});
+  if (actual == expect) {
+    me.verified_seq[d] = seq;
     return true;
   }
+  me.rejected_seq[d] = seq;
+  me.fast_nack = true;  // re-request immediately, not at the deadline
+  ++me.ctr[kCtrChecksumRejections];
+  if (!recovery_on) {
+    fail(q,
+         cat("integrity: checksum mismatch on object ",
+             plan.graph->data(d).name, " (put seq ", seq,
+             ") received at processor ", q),
+         FailureKind::kIntegrity);
+  }
+  if (gate) gate->rejected = true;
+  return false;
+}
 
-  /// Tracks the wait a blocked processor is in; sends a re-request when the
-  /// wait's steady-clock deadline expires, escalates when attempts run out.
-  void note_blocked_wait(ProcId q, const GateRef& gate) {
-    Private& me = priv[q];
-    WaitTracker& w = me.wait;
-    const std::int64_t now = now_ns();
-    if (!w.active || w.object != gate.object || w.version != gate.version ||
-        w.flag_task != gate.flag_task) {
-      finish_wait(q);  // a changed gate means the previous one was satisfied
-      w.active = true;
-      w.exhausted = false;
-      w.object = gate.object;
-      w.version = gate.version;
-      w.flag_task = gate.flag_task;
-      w.attempts = 0;
-      w.started_ns = now;
-      w.deadline_ns =
-          sat_add_i64(now, sat_mul_i64(options.retry.delay_us(1), 1000));
+/// Lock-free: acquire loads pair with the senders' release stores, so a
+/// `true` result makes the payload bytes (and the flagged predecessors'
+/// effects) visible to the task body — and, with checksums on, that every
+/// remote input's payload digest matched. On false, `gate` (if given) is
+/// filled with the first unmet gate for wait tracking and diagnosis.
+inline bool Impl::task_ready(ProcId q, TaskId t, GateRef* gate) {
+  const TaskRuntimePlan& trp = plan.tasks[t];
+  const WindowView& mine = win[static_cast<std::size_t>(q)];
+  for (const RemoteRead& rr : trp.remote_reads) {
+    const std::int32_t have =
+        mine.received_version[rr.object].load(std::memory_order_acquire);
+    const bool arrived = have >= rr.version;
+    if (arrived && (!checksum_on || content_trusted(q, rr.object, gate))) {
+      continue;
     }
-    if (w.exhausted) return;
-    const bool fast = gate.rejected && me.fast_nack;
-    if (!fast && now < w.deadline_ns) return;
-    me.fast_nack = false;
-    if (w.attempts >= options.retry.max_attempts) {
-      w.exhausted = true;
-      RetryRecord r;
-      r.object = w.object;
-      r.version = w.version;
-      r.flag_task = w.flag_task;
-      r.attempts = w.attempts;
-      r.waited_us = (now - w.started_ns) / 1000;
-      r.exhausted = true;
-      me.retry_log.push_back(r);
-      me.exhausted_index = me.retry_log.size() - 1;
-      exhausted_waiters.fetch_add(1, std::memory_order_acq_rel);
-      tp->beat_wait(q, w.object, w.version, w.flag_task, graph::kInvalidProc,
-                    w.attempts, true);
-      control_bell->ring();  // the monitor decides whether to escalate
+    if (gate) {
+      gate->object = rr.object;
+      gate->version = rr.version;
+      gate->have = have;
+    }
+    return false;
+  }
+  for (TaskId u : trp.remote_sync_preds) {
+    if (mine.flags[u].load(std::memory_order_acquire) == 0) {
+      if (gate) gate->flag_task = u;
+      return false;
+    }
+  }
+  return true;
+}
+
+// ---- stall snapshots (worker side) ------------------------------------------
+
+/// Worker-side answer to a monitor snapshot request: publish everything
+/// the diagnosis needs from this processor's own private state (never
+/// read cross-thread), including a re-derivation of what the current
+/// task is blocked on and the recovery retry history. `map_blocked_dest`
+/// marks the MAP-blocked state when called from inside
+/// send_addr_package_blocking.
+void Impl::publish_snapshot(ProcId q, std::int64_t extra_parks,
+                            std::int64_t extra_timeouts,
+                            ProcId map_blocked_dest) {
+  Private& me = priv[q];
+  const std::uint64_t gen = snap_gen.load(std::memory_order_acquire);
+  const ProcPlan& pp = plan.procs[q];
+  const auto n = static_cast<std::int32_t>(pp.order.size());
+  ProcSnapshot s;
+  s.proc = q;
+  s.detailed = true;
+  s.pos = me.pos;
+  s.order_size = n;
+  s.suspended_sends = me.suspended_count;
+  s.suspended_by_dest.resize(static_cast<std::size_t>(plan.num_procs), 0);
+  for (ProcId r = 0; r < plan.num_procs; ++r) {
+    s.suspended_by_dest[static_cast<std::size_t>(r)] =
+        static_cast<std::int64_t>(
+            me.suspended_by_dest[static_cast<std::size_t>(r)].size());
+  }
+  s.addr_epoch = me.addr_epoch;
+  s.mailbox_packages = tp->mailbox_occupancy(q);
+  s.parks = me.park_accum + (me.backoff ? me.backoff->parks() : 0) +
+            extra_parks;
+  s.park_timeouts = me.timeout_accum +
+                    (me.backoff ? me.backoff->park_timeouts() : 0) +
+                    extra_timeouts;
+  if (recovery_on) {
+    s.retry_history = me.retry_log;
+    if (me.wait.active) {
+      s.retry_attempts = me.wait.attempts;
+      if (me.wait.attempts > 0 && !me.wait.exhausted) {
+        // The in-flight wait, reported as an open (non-exhausted) episode.
+        s.retry_history.push_back(me.wait.record(now_ns(), false));
+      }
+    }
+  }
+  if (map_blocked_dest != graph::kInvalidProc) {
+    s.state = ProcState::kMapBlocked;
+    s.mailbox_full_dest = map_blocked_dest;
+    if (me.pos < n) s.current_task = pp.order[me.pos];
+  } else if (me.pos >= n) {
+    s.state = me.counted_quiescent ? ProcState::kQuiescent
+                                   : ProcState::kEndDrain;
+  } else if (config.active_memory && me.memory->needs_map(me.pos)) {
+    s.state = ProcState::kMap;
+    s.current_task = pp.order[me.pos];
+  } else {
+    const TaskId t = pp.order[me.pos];
+    s.current_task = t;
+    GateRef gate;
+    if (task_ready(q, t, &gate)) {
+      s.state = ProcState::kExe;  // ready-to-run, snapshot raced the gate
+    } else {
+      s.state = ProcState::kRecBlocked;
+      s.waiting_object = gate.object;
+      s.waiting_version = gate.version;
+      s.have_version = gate.have;
+      s.waiting_flag_task = gate.flag_task;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(snap_m);
+    snap_slots[static_cast<std::size_t>(q)] = std::move(s);
+  }
+  snap_acked.fetch_add(1, std::memory_order_release);
+  me.snap_seen = gen;
+}
+
+// ---- worker ------------------------------------------------------------------
+
+class Impl::Resolver final : public ObjectResolver {
+ public:
+  Resolver(Impl& impl, ProcId proc) : impl_(impl), proc_(proc) {}
+
+  std::span<const std::byte> read(DataId d) const override {
+    const std::int64_t size = impl_.plan.graph->data(d).size_bytes;
+    const mem::Offset off = impl_.priv[proc_].memory->offset_of(d);
+    return {impl_.win[static_cast<std::size_t>(proc_)].heap + off,
+            static_cast<std::size_t>(size)};
+  }
+
+  std::span<std::byte> write(DataId d) override {
+    RAPID_CHECK(impl_.plan.graph->data(d).owner == proc_,
+                cat("task on processor ", proc_, " writing non-owned ",
+                    impl_.plan.graph->data(d).name));
+    const std::int64_t size = impl_.plan.graph->data(d).size_bytes;
+    const mem::Offset off = impl_.priv[proc_].memory->offset_of(d);
+    return {impl_.win[static_cast<std::size_t>(proc_)].heap + off,
+            static_cast<std::size_t>(size)};
+  }
+
+ private:
+  Impl& impl_;
+  ProcId proc_;
+};
+
+/// Process-kill fault hook: rank q SIGKILLs itself at its nth entry into
+/// `phase`. Real process death only — the in-process backend ignores the
+/// plan (a thread cannot fail independently of the run).
+inline void Impl::maybe_kill(ProcId q, std::int32_t phase) {
+  Private& me = priv[q];
+  const std::int64_t ordinal = ++me.kill_ordinals[phase];
+  if (induced_on && tp->cross_process() &&
+      faults.should_kill(q, phase, ordinal)) {
+    std::raise(SIGKILL);
+  }
+}
+
+void Impl::complete_task(ProcId q, TaskId t) {
+  Private& me = priv[q];
+  const TaskRuntimePlan& trp = plan.tasks[t];
+  trace_state(q, obs::ProtoState::kSnd);
+  for (ProcId dest : trp.flag_dests) send_flag(q, dest, t);
+  // Collect every send this SND state produces, then route them together:
+  // dispatch_sends coalesces same-destination puts into one batch.
+  me.send_scratch.clear();
+  for (const auto& [d, v] : trp.epoch_memberships) {
+    auto& remaining = me.epoch_remaining[epoch_base[d] +
+                                         static_cast<std::size_t>(v) - 1];
+    if (--remaining == 0) {
+      RAPID_CHECK(me.current_version[d] == v - 1,
+                  "versions completed out of order");
+      me.current_version[d] = v;
+      for (ProcId dest :
+           plan.objects[d].sends_by_version[static_cast<std::size_t>(v)]) {
+        me.send_scratch.push_back(ContentSend{d, v, dest});
+      }
+    }
+  }
+  dispatch_sends(q, me.send_scratch);
+  ++me.ctr[kCtrTasksExecuted];
+  bump_progress();
+}
+
+/// EXE with bounded re-execution: a TransientTaskError (injected or
+/// thrown by the body for a genuinely transient condition) is retried up
+/// to RetryPolicy::max_attempts times with the policy's backoff. The
+/// poison-fill free hook guarantees a retried body cannot silently read
+/// stale heap through a dangling address — a stale read yields poison,
+/// not plausible content — and the MAP free hook has reset the
+/// verification state of any recycled input region.
+inline void Impl::execute_task(ProcId q, TaskId t,
+                               Resolver& resolver) {
+  std::int32_t attempt = 1;
+  for (;;) {
+    try {
+      if (faults_on) {
+        if (induced_on && t == faults.throw_in_task) {
+          throw InjectedFaultError(
+              cat("injected fault: task ", plan.graph->task(t).name,
+                  " forced to fail"));
+        }
+        if (induced_on && faults.task_throws_transient(t, attempt)) {
+          throw TransientTaskError(
+              cat("injected transient fault: task ",
+                  plan.graph->task(t).name, " attempt ", attempt));
+        }
+        const std::int64_t delay = faults.task_delay_us(t);
+        if (delay > 0) sleep_us(delay);
+      }
+      body(t, resolver);  // EXE
       return;
+    } catch (const TransientTaskError&) {
+      if (!recovery_on || attempt > options.retry.max_attempts ||
+          tp->aborted()) {
+        throw;
+      }
+      ++priv[q].ctr[kCtrTaskRetries];
+      sleep_us(options.retry.delay_us(attempt));
+      ++attempt;
     }
-    ++w.attempts;
-    w.deadline_ns = sat_add_i64(
-        now, sat_mul_i64(options.retry.delay_us(w.attempts + 1), 1000));
-    send_nack(q, gate);
   }
+}
 
-  /// Closes the current wait episode: records it in the retry history when
-  /// re-requests were sent, and heals an exhausted wait that resolved after
-  /// all (a slow owner, not a lost message).
-  void finish_wait(ProcId q) {
-    Private& me = priv[q];
-    WaitTracker& w = me.wait;
-    if (!w.active) return;
-    const std::int64_t waited = (now_ns() - w.started_ns) / 1000;
-    if (w.exhausted) {
-      RetryRecord& r = me.retry_log[me.exhausted_index];
-      r.exhausted = false;  // healed after exhausting: owner was slow
-      r.waited_us = waited;
-      exhausted_waiters.fetch_sub(1, std::memory_order_acq_rel);
-    } else if (w.attempts > 0) {
-      RetryRecord r;
-      r.object = w.object;
-      r.version = w.version;
-      r.flag_task = w.flag_task;
-      r.attempts = w.attempts;
-      r.waited_us = waited;
-      me.retry_log.push_back(r);
-    }
-    w = WaitTracker{};
+void Impl::worker(ProcId q) {
+  Private& me = priv[q];
+  set_log_thread_proc(q);
+  set_log_thread_run(options.run_id);
+  // Per-run kernel dispatch: a thread-local override instead of the
+  // process-global level, so co-resident service runs with different
+  // RunConfig::kernel_dispatch never clobber each other.
+  if (config.kernel_dispatch >= 0) {
+    num::set_thread_kernel_level(config.kernel_dispatch);
   }
+  try {
+    const ProcPlan& pp = plan.procs[q];
+    // Initialize owned objects, then issue version-0 sends (they suspend
+    // in active mode until reader addresses arrive).
+    Resolver resolver(*this, q);
+    for (DataId d : pp.permanents) {
+      if (init) init(d, resolver.write(d));
+    }
+    dispatch_sends(q, pp.initial_sends);
 
-  // ---- RA / CQ -----------------------------------------------------------
-
-  /// RA: consume address packages from my mailbox slots (suppressing
-  /// replays by per-source sequence and rejecting corrupted packages before
-  /// installing any entry), then drain re-requests, then CQ: dispatch
-  /// suspended sends whose addresses became known. Returns whether any
-  /// package was consumed, request serviced, or send dispatched (the
-  /// caller's backoff resets on progress).
-  bool service_ra_cq(ProcId q) {
-    Private& me = priv[q];
-    bool progressed = false;
-    if (tp->addr_packages_pending(q)) {
-      std::vector<AddrPackage> consumed;
-      tp->drain_addr_packages(q, &consumed);
-      for (const AddrPackage& pkg : consumed) {
-        if (pkg.seq != 0) {
-          auto& last_seen = me.pkg_seq_seen[pkg.reader];
-          if (pkg.seq <= last_seen) {
-            // Replayed/duplicated package: entries were already installed
-            // (idempotently installable anyway — one lifetime window per
-            // object keeps the offsets identical), only the count matters.
-            duplicate_suppressions.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          if (checksum_on && pkg.crc != pkg.checksum()) {
-            checksum_rejections.fetch_add(1, std::memory_order_relaxed);
-            if (!recovery_on) {
-              fail(q,
-                   cat("integrity: address package from p", pkg.reader,
-                       " to p", q, " failed its checksum"),
-                   FailureKind::kIntegrity);
-              return progressed;
-            }
-            // Dropped before advancing last_seen: the waiter's re-request
-            // carries the same addresses and heals this.
-            continue;
-          }
-          last_seen = pkg.seq;
-        }
-        for (const auto& [d, offset] : pkg.entries) {
-          addr_slot(me, d, pkg.reader) = offset;
-        }
-        ++me.addr_epoch[pkg.reader];
-        if (tracing) {
-          trace->record(q, obs::EventKind::kAddrPkgInstall,
-                        static_cast<std::int32_t>(pkg.entries.size()),
-                        static_cast<std::int32_t>(pkg.seq), pkg.reader);
-        }
-        progressed = true;
-        bump_progress();
-      }
-    }
-    if (recovery_on && tp->nacks_pending(q)) {
-      std::vector<NackRequest> requests;
-      tp->drain_nacks(q, &requests);
-      for (const NackRequest& n : requests) {
-        if (service_nack(q, n)) progressed = true;
-      }
-    }
-    if (me.suspended_count > 0) {
-      for (ProcId r = 0; r < plan.num_procs; ++r) {
-        auto& queue = me.suspended_by_dest[r];
-        if (queue.empty() || me.scanned_epoch[r] == me.addr_epoch[r]) {
-          continue;  // no new addresses from r since the last scan
-        }
-        me.scanned_epoch[r] = me.addr_epoch[r];
-        // The suspended queue for one destination is a natural batch: every
-        // send whose address just arrived goes out in one coalesced put.
-        auto& batch = me.batch_by_dest[r];
-        for (auto it = queue.begin(); it != queue.end();) {
-          if (addr_slot(me, it->object, r) != mem::kNullOffset) {
-            batch.push_back(*it);
-            it = queue.erase(it);
-            --me.suspended_count;
-          } else {
-            ++it;
-          }
-        }
-        if (!batch.empty()) {
-          transmit_batch(q, r, batch);
-          batch.clear();
-          progressed = true;
-        }
-      }
-    }
-    return progressed;
-  }
-
-  /// Blocking send of one address package (MAP state): spins then parks on
-  /// the doorbell while the destination slot is full, servicing RA/CQ like
-  /// the paper requires. The package is stamped with its per-(sender, dest)
-  /// sequence number and CRC at send time. Fault hooks: the package may be
-  /// delayed (reordering delivery relative to other sources), dropped
-  /// outright — the induced deadlock the stall diagnostics must explain and
-  /// the re-request recovery must heal — or duplicated (delivered twice
-  /// with the same sequence number, bypassing the slot bound, which the
-  /// receiver must suppress).
-  bool send_addr_package_blocking(ProcId q, ProcId dest,
-                                  const AddrPackage& pkg) {
-    Private& me = priv[q];
-    std::int64_t ordinal = 0;
-    if (faults_on) {
-      ordinal = ++me.addr_pkgs_sent;
-      if (induced_on && faults.drop_addr_src == q &&
-          faults.drop_addr_nth == ordinal) {
-        dropped_packages.fetch_add(1, std::memory_order_relaxed);
-        return true;  // swallowed: a lost control message
-      }
-      const std::int64_t delay = faults.addr_delay_us(q, dest, ordinal);
-      if (delay > 0) sleep_us(delay);
-    }
-    AddrPackage stamped = pkg;
-    stamped.seq = ++me.pkg_seq_sent[dest];
-    stamped.crc = stamped.checksum();
-    // Network-level duplication fault: same sequence number, past the slot
-    // bound (the bound is a protocol courtesy the fault deliberately
-    // violates); the receiver must suppress the replay.
-    std::int32_t copies = 1;
-    if (faults_on && faults.dup_addr_package(q, dest, ordinal)) copies = 2;
-    Backoff backoff(*bell, options.spin_iters, effective_park_us);
-    bool sent = false;
+    me.backoff.emplace(*bell, kSpinIters, effective_park_us);
+    Backoff& backoff = *me.backoff;
+    const auto n = static_cast<std::int32_t>(pp.order.size());
     while (!tp->aborted()) {
       if (snap_gen.load(std::memory_order_acquire) != me.snap_seen) {
-        publish_snapshot(q, backoff.parks(), backoff.park_timeouts(), dest);
+        publish_snapshot(q, 0, 0, graph::kInvalidProc);
       }
-      const std::uint64_t seen = bell->value();
-      if (tp->try_send_addr_package(q, dest, stamped, config.mailbox_slots,
-                                    copies)) {
-        addr_packages.fetch_add(1, std::memory_order_relaxed);
-        addr_entries.fetch_add(
-            static_cast<std::int64_t>(stamped.entries.size()),
-            std::memory_order_relaxed);
-        sent = true;
-        if (tracing) {
-          trace->record(q, obs::EventKind::kAddrPkgSend,
-                        static_cast<std::int32_t>(stamped.entries.size()),
-                        static_cast<std::int32_t>(stamped.seq), dest);
+      if (me.pos < n) {
+        if (config.active_memory && me.memory->needs_map(me.pos)) {
+          // MAP state.
+          set_state(q, ProcState::kMap);
+          trace_state(q, obs::ProtoState::kMap);
+          if (tracing) trace->record(q, obs::EventKind::kMapBegin, me.pos);
+          if (faults_on) maybe_kill(q, FaultPlan::kKillMap);
+          const MapResult map = me.memory->perform_map(me.pos);
+          ++me.ctr[kCtrMaps];
+          if (tracing) {
+            // kMapFree events came from the free hook inside perform_map;
+            // close the MAP with its allocations and the heap samples the
+            // occupancy timeline is built from. kHeapPeak carries the
+            // arena's true peak — tentative allocations rolled back inside
+            // perform_map count, so it can exceed every kHeapSample.
+            for (DataId d : map.allocated) {
+              trace->record(q, obs::EventKind::kMapAlloc, d, 0, 0,
+                            plan.graph->data(d).size_bytes);
+            }
+            trace->record(q, obs::EventKind::kMapEnd, me.pos);
+            trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
+                          me.memory->in_use_bytes());
+            trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
+                          me.memory->peak_bytes());
+          }
+          for (const auto& [dest, pkg] : map.packages) {
+            if (!send_addr_package_blocking(q, dest, pkg)) return;
+          }
+          bump_progress();
+          backoff.reset();
+          continue;
         }
-        bump_progress();
-        break;
+        const TaskId t = pp.order[me.pos];
+        // The protocol enters REC before every task (Fig. 3(b)); a ready
+        // task just passes through it instantly.
+        trace_state(q, obs::ProtoState::kRec);
+        if (faults_on && me.pos != me.last_rec_pos) {
+          // First REC entry at this schedule position (re-entries after a
+          // blocked pause are the same protocol state, not a new one).
+          me.last_rec_pos = me.pos;
+          maybe_kill(q, FaultPlan::kKillRec);
+        }
+        // Doorbell value read BEFORE the readiness check: an input that
+        // arrives between the check and the park moves the bell past
+        // `seen`, so the park returns immediately instead of sleeping
+        // through the wakeup.
+        const std::uint64_t seen = bell->value();
+        GateRef gate;
+        if (task_ready(q, t, &gate)) {
+          if (recovery_on) finish_wait(q);
+          if (tracing) {
+            // The task's remote inputs are now all trusted: close the
+            // put→publish→consume flows on the reader side. The stamp is
+            // a fresh acquire load of the published put sequence — a real
+            // release/acquire pair with the owner's publication, so the
+            // conformance checker's publish→consume edge is a genuine
+            // happens-before edge, not a timestamp heuristic.
+            for (const RemoteRead& rr : plan.tasks[t].remote_reads) {
+              const std::uint32_t seq =
+                  win[static_cast<std::size_t>(q)].put_seq[rr.object].load(
+                      std::memory_order_acquire);
+              trace->record(q, obs::EventKind::kConsume, rr.object,
+                            rr.version,
+                            plan.graph->data(rr.object).owner, 0,
+                            static_cast<std::uint16_t>(seq));
+            }
+          }
+          set_state(q, ProcState::kExe);
+          trace_state(q, obs::ProtoState::kExe);
+          if (faults_on) maybe_kill(q, FaultPlan::kKillExe);
+          if (tracing) trace->record(q, obs::EventKind::kTaskBegin, t);
+          execute_task(q, t, resolver);
+          if (tracing) trace->record(q, obs::EventKind::kTaskEnd, t);
+          ++me.pos;
+          set_state(q, ProcState::kExe);
+          if (faults_on) maybe_kill(q, FaultPlan::kKillSnd);
+          complete_task(q, t);  // SND
+          backoff.reset();
+        } else if (service_ra_cq(q)) {  // REC
+          backoff.reset();
+        } else {
+          set_state(q, ProcState::kRecBlocked);
+          if (recovery_on) note_blocked_wait(q, gate);
+          tp->beat_wait(q, gate.object, gate.version, gate.flag_task,
+                        graph::kInvalidProc, me.wait.attempts,
+                        me.wait.exhausted);
+          traced_pause(q, backoff, seen);
+        }
+        continue;
       }
-      if (service_ra_cq(q)) {
+      // END: drain, then wait for global quiescence.
+      trace_state(q, obs::ProtoState::kEnd);
+      const std::uint64_t seen = bell->value();
+      const bool progressed = service_ra_cq(q);
+      if (!me.counted_quiescent && me.suspended_count == 0) {
+        me.counted_quiescent = true;
+        set_state(q, ProcState::kQuiescent);
+        if (tp->note_quiescent(q) == plan.num_procs) {
+          control_bell->ring();  // the run is over: wake the monitor
+        }
+        bump_progress();  // and any peers parked waiting for quiescence
+      } else if (!me.counted_quiescent) {
+        set_state(q, ProcState::kEndDrain);
+      }
+      if (tp->quiescent_count() == plan.num_procs) {
+        return;
+      }
+      if (progressed) {
         backoff.reset();
       } else {
-        // Publish the blocked-on-mailbox state (with the full destination)
-        // before parking so a cross-process coordinator can attribute this
-        // wait if the destination's process dies.
-        tp->beat(q, static_cast<std::uint8_t>(ProcState::kMapBlocked),
-                 me.pos);
-        tp->beat_wait(q, graph::kInvalidData, -1, graph::kInvalidTask, dest,
-                      0, false);
         traced_pause(q, backoff, seen);
       }
     }
-    me.park_accum += backoff.parks();
-    me.timeout_accum += backoff.park_timeouts();
-    return sent;
+  } catch (const NonExecutableError& e) {
+    set_state(q, ProcState::kFailed);
+    fail(q, e.what(), FailureKind::kNonExecutable);
+  } catch (const InjectedFaultError& e) {
+    set_state(q, ProcState::kFailed);
+    fail(q, cat("processor ", q, ": ", e.what()),
+         FailureKind::kInjectedFault);
+  } catch (const std::exception& e) {
+    set_state(q, ProcState::kFailed);
+    fail(q, cat("processor ", q, ": ", e.what()), FailureKind::kTaskError);
   }
+}
 
-  // ---- readiness ---------------------------------------------------------
+/// Rank q's counter block with its end-of-run peak bytes filled in.
+const CounterBlock& Impl::finished_counters(ProcId q) {
+  Private& me = priv[q];
+  me.ctr[kCtrPeakBytes] = me.memory ? me.memory->peak_bytes() : 0;
+  return me.ctr;
+}
 
-  /// Reader-side trust in the last put of `d` (readiness already checked):
-  /// recompute the CRC only at a put sequence not yet verified or rejected.
-  /// Gating on the seq is what makes verification race-free against owner
-  /// resends — bytes are only read at a fully published seq, and a NACK for
-  /// a rejected seq reaches the owner (through the inbox mutex) strictly
-  /// after the reader's byte reads, ordering any retransmit's memcpy after
-  /// them.
-  bool content_trusted(ProcId q, DataId d, GateRef* gate) {
-    Private& me = priv[q];
-    const WindowView& mine = win[static_cast<std::size_t>(q)];
-    const std::uint32_t seq = mine.put_seq[d].load(std::memory_order_acquire);
-    if (seq == 0) return false;  // version visible, seq racing: retry soon
-    if (me.verified_seq[d] == seq) return true;
-    if (me.rejected_seq[d] == seq) {
-      if (gate) gate->rejected = true;
-      return false;  // known-bad copy: wait for the resend
-    }
-    const std::int64_t size = plan.graph->data(d).size_bytes;
-    const mem::Offset off = me.memory->offset_of(d);
-    const std::uint32_t expect =
-        mine.received_crc[d].load(std::memory_order_relaxed);
-    const std::uint32_t actual =
-        crc32c({mine.heap + off, static_cast<std::size_t>(size)});
-    if (actual == expect) {
-      me.verified_seq[d] = seq;
-      return true;
-    }
-    me.rejected_seq[d] = seq;
-    me.fast_nack = true;  // re-request immediately, not at the deadline
-    checksum_rejections.fetch_add(1, std::memory_order_relaxed);
-    if (!recovery_on) {
-      fail(q,
-           cat("integrity: checksum mismatch on object ",
-               plan.graph->data(d).name, " (put seq ", seq,
-               ") received at processor ", q),
-           FailureKind::kIntegrity);
-    }
-    if (gate) gate->rejected = true;
-    return false;
+// ---- run orchestration -------------------------------------------------------
+
+/// Per-run state reset plus the plan-derived index tables; shared by both
+/// backends and by shm_worker_run.
+void Impl::reset_run_state() {
+  completed = false;
+  priv.clear();
+  priv.resize(static_cast<std::size_t>(plan.num_procs));
+  win.clear();
+  snap_slots.assign(static_cast<std::size_t>(plan.num_procs),
+                    ProcSnapshot{});
+  snap_gen.store(0);
+  snap_acked.store(0);
+  exhausted_waiters.store(0);
+  stall_report.reset();
+  proc_failure.reset();
+  epoch_base.assign(static_cast<std::size_t>(plan.graph->num_data()), 0);
+  owned_index.assign(static_cast<std::size_t>(plan.graph->num_data()), -1);
+  for (ProcId q = 0; q < plan.num_procs; ++q) {
+    std::int32_t next = 0;
+    for (DataId d : plan.procs[q].permanents) owned_index[d] = next++;
   }
+}
 
-  /// Lock-free: acquire loads pair with the senders' release stores, so a
-  /// `true` result makes the payload bytes (and the flagged predecessors'
-  /// effects) visible to the task body — and, with checksums on, that every
-  /// remote input's payload digest matched. On false, `gate` (if given) is
-  /// filled with the first unmet gate for wait tracking and diagnosis.
-  bool task_ready(ProcId q, TaskId t, GateRef* gate = nullptr) {
-    const TaskRuntimePlan& trp = plan.tasks[t];
-    const WindowView& mine = win[static_cast<std::size_t>(q)];
-    for (const RemoteRead& rr : trp.remote_reads) {
-      const std::int32_t have =
-          mine.received_version[rr.object].load(std::memory_order_acquire);
-      const bool arrived = have >= rr.version;
-      if (arrived && (!checksum_on || content_trusted(q, rr.object, gate))) {
-        continue;
-      }
-      if (gate) {
-        gate->object = rr.object;
-        gate->version = rr.version;
-        gate->have = have;
-      }
-      return false;
-    }
-    for (TaskId u : trp.remote_sync_preds) {
-      if (mine.flags[u].load(std::memory_order_acquire) == 0) {
-        if (gate) gate->flag_task = u;
-        return false;
-      }
-    }
-    return true;
+/// Points the data plane at `transport`: the bells and the cached window
+/// views of every rank.
+void Impl::attach_transport(Transport& transport) {
+  tp = &transport;
+  bell = &transport.data_bell();
+  control_bell = &transport.control_bell();
+  for (ProcId q = 0; q < plan.num_procs; ++q) {
+    win.push_back(transport.window(q));
   }
+}
 
-  // ---- stall snapshots ---------------------------------------------------
-
-  /// Worker-side answer to a monitor snapshot request: publish everything
-  /// the diagnosis needs from this processor's own private state (never
-  /// read cross-thread), including a re-derivation of what the current
-  /// task is blocked on and the recovery retry history. `map_blocked_dest`
-  /// marks the MAP-blocked state when called from inside
-  /// send_addr_package_blocking.
-  void publish_snapshot(ProcId q, std::int64_t extra_parks,
-                        std::int64_t extra_timeouts, ProcId map_blocked_dest) {
-    Private& me = priv[q];
-    const std::uint64_t gen = snap_gen.load(std::memory_order_acquire);
-    const ProcPlan& pp = plan.procs[q];
-    const auto n = static_cast<std::int32_t>(pp.order.size());
-    ProcSnapshot s;
-    s.proc = q;
-    s.detailed = true;
-    s.pos = me.pos;
-    s.order_size = n;
-    s.suspended_sends = me.suspended_count;
-    s.suspended_by_dest.resize(static_cast<std::size_t>(plan.num_procs), 0);
-    for (ProcId r = 0; r < plan.num_procs; ++r) {
-      s.suspended_by_dest[static_cast<std::size_t>(r)] =
-          static_cast<std::int64_t>(
-              me.suspended_by_dest[static_cast<std::size_t>(r)].size());
-    }
-    s.addr_epoch = me.addr_epoch;
-    s.mailbox_packages = tp->mailbox_occupancy(q);
-    s.parks = me.park_accum + (me.backoff ? me.backoff->parks() : 0) +
-              extra_parks;
-    s.park_timeouts = me.timeout_accum +
-                      (me.backoff ? me.backoff->park_timeouts() : 0) +
-                      extra_timeouts;
-    if (recovery_on) {
-      s.retry_history = me.retry_log;
-      if (me.wait.active) {
-        s.retry_attempts = me.wait.attempts;
-        if (me.wait.attempts > 0 && !me.wait.exhausted) {
-          // The in-flight wait, reported as an open (non-exhausted) episode.
-          RetryRecord r;
-          r.object = me.wait.object;
-          r.version = me.wait.version;
-          r.flag_task = me.wait.flag_task;
-          r.attempts = me.wait.attempts;
-          r.waited_us = (now_ns() - me.wait.started_ns) / 1000;
-          s.retry_history.push_back(r);
-        }
-      }
-    }
-    if (map_blocked_dest != graph::kInvalidProc) {
-      s.state = ProcState::kMapBlocked;
-      s.mailbox_full_dest = map_blocked_dest;
-      if (me.pos < n) s.current_task = pp.order[me.pos];
-    } else if (me.pos >= n) {
-      s.state = me.counted_quiescent ? ProcState::kQuiescent
-                                     : ProcState::kEndDrain;
-    } else if (config.active_memory && me.memory->needs_map(me.pos)) {
-      s.state = ProcState::kMap;
-      s.current_task = pp.order[me.pos];
-    } else {
-      const TaskId t = pp.order[me.pos];
-      s.current_task = t;
-      GateRef gate;
-      if (task_ready(q, t, &gate)) {
-        s.state = ProcState::kExe;  // ready-to-run, snapshot raced the gate
-      } else {
-        s.state = ProcState::kRecBlocked;
-        s.waiting_object = gate.object;
-        s.waiting_version = gate.version;
-        s.have_version = gate.have;
-        s.waiting_flag_task = gate.flag_task;
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(snap_m);
-      snap_slots[static_cast<std::size_t>(q)] = std::move(s);
-    }
-    snap_acked.fetch_add(1, std::memory_order_release);
-    me.snap_seen = gen;
-  }
-
-  /// Monitor-side: request snapshots, wait for the responsive workers,
-  /// synthesize light entries for the rest (they are inside task bodies),
-  /// and run the wait-for-graph analysis. Deliberately rings no doorbell:
-  /// bell.value() is the progress signal the caller re-checks to know the
-  /// collected snapshots describe one frozen instant.
-  StallReport collect_and_diagnose(double stalled_seconds) {
-    {
-      std::lock_guard<std::mutex> lock(snap_m);
-      snap_slots.assign(static_cast<std::size_t>(plan.num_procs),
-                        ProcSnapshot{});
-    }
-    snap_acked.store(0, std::memory_order_relaxed);
-    snap_gen.fetch_add(1, std::memory_order_release);
-    // Parked workers wake within one park timeout and notice the request;
-    // no ring needed (and a ring would corrupt the progress signal).
-    const std::int64_t deadline_us = std::max<std::int64_t>(
-        static_cast<std::int64_t>(options.snapshot_wait_seconds * 1e6),
-        4 * effective_park_us);
-    Stopwatch sw;
-    for (;;) {
-      int expected = 0;
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        const auto st = static_cast<ProcState>(tp->light(q).state);
-        // kExe workers are inside a body and cannot answer; kFailed
-        // workers have unwound. Everyone else loops and will respond.
-        if (st != ProcState::kExe && st != ProcState::kFailed) ++expected;
-      }
-      if (snap_acked.load(std::memory_order_acquire) >= expected) break;
-      if (sw.seconds() * 1e6 > static_cast<double>(deadline_us)) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    std::vector<ProcSnapshot> snaps;
-    {
-      std::lock_guard<std::mutex> lock(snap_m);
-      snaps = snap_slots;
-    }
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      ProcSnapshot& s = snaps[static_cast<std::size_t>(q)];
-      if (s.detailed) continue;
-      const LightState light = tp->light(q);
-      s.proc = q;
-      s.state = static_cast<ProcState>(light.state);
-      s.pos = light.pos;
-      s.order_size = static_cast<std::int32_t>(plan.procs[q].order.size());
-    }
-    std::vector<std::string> errs = tp->failure_texts();
-    StallReport report = diagnose_stall(plan, std::move(snaps),
-                                        stalled_seconds, std::move(errs));
-    report.attempt_deadline_us = options.attempt_deadline_us;
-    return report;
-  }
-
-  /// Deadline/cancel poll shared by the inproc monitor and the shm
-  /// coordinator loop. Returns true when it cancelled the run (the caller
-  /// breaks out of its loop; workers unwind via the abort).
-  bool check_cancelled() {
-    if (options.attempt_deadline_us > 0) {
-      const auto elapsed_us =
-          static_cast<std::int64_t>(since_run_start.seconds() * 1e6);
-      if (elapsed_us >= options.attempt_deadline_us) {
-        fail(graph::kInvalidProc,
-             cat("run cancelled: attempt deadline of ",
-                 options.attempt_deadline_us, " us lapsed after ", elapsed_us,
-                 " us"),
-             FailureKind::kCancelled);
-        return true;
-      }
-    }
-    if (cancel_requested.load(std::memory_order_acquire)) {
-      std::string reason;
-      {
-        std::lock_guard<std::mutex> lock(cancel_m);
-        reason = cancel_reason;
-      }
-      fail(graph::kInvalidProc, cat("run cancelled: ", reason),
-           FailureKind::kCancelled);
-      return true;
-    }
-    return false;
-  }
-
-  /// Heartbeat park bounded by the time left on the attempt deadline, so a
-  /// lapse is noticed promptly even when the heartbeat is coarse.
-  std::int64_t deadline_clamped(std::int64_t heartbeat_us) const {
-    if (options.attempt_deadline_us <= 0) return heartbeat_us;
-    const auto elapsed_us =
-        static_cast<std::int64_t>(since_run_start.seconds() * 1e6);
-    const std::int64_t remaining =
-        std::max<std::int64_t>(options.attempt_deadline_us - elapsed_us, 500);
-    return std::min(heartbeat_us, remaining);
-  }
-
-  /// The progress monitor (replaces the blind watchdog): parked on the
-  /// control doorbell, it samples the data doorbell on a heartbeat. After
-  /// stall_check_seconds without progress it collects a snapshot and builds
-  /// the wait-for graph — a genuine cycle (or a wait on a quiescent
-  /// processor) fails the run immediately with the StallReport; anything
-  /// else is slow progress and the run resumes. With recovery enabled, a
-  /// genuine diagnosis is held instead of failed: the re-request layer can
-  /// heal waits that are provably dead under fail-stop rules (a dropped
-  /// address package forms a real cycle that one NACK dissolves). The run
-  /// then fails only when a waiter exhausted its bounded retries while
-  /// global progress is stopped, or when the RetryPolicy-scaled watchdog
-  /// budget expires. An unchanged bell across the whole snapshot window is
-  /// what makes the per-processor snapshots mutually consistent: every
-  /// unblocking event rings the bell, so "bell unmoved" means no processor
-  /// changed protocol state while the snapshots were taken.
-  void monitor() {
-    const double stall_after =
-        std::min(options.stall_check_seconds, effective_watchdog);
-    const std::int64_t heartbeat_us = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(stall_after * 1e6 / 4), 1000, 250000);
-    std::uint64_t last = bell->value();
-    Stopwatch since_progress;
-    bool diagnosed = false;  // already analyzed this bell value
-    std::shared_ptr<const StallReport> pending;  // slow-progress diagnosis
-    for (;;) {
-      // Control value read before the exit checks: a ring that lands after
-      // the read makes the park return immediately, so run termination is
-      // never charged a full heartbeat of latency.
-      const std::uint64_t control_seen = control_bell->value();
-      if (tp->quiescent_count() >= plan.num_procs || tp->aborted()) {
-        break;
-      }
-      if (check_cancelled()) break;
-      const std::uint64_t now = bell->value();
-      if (now != last) {
-        last = now;
-        since_progress.reset();
-        diagnosed = false;
-        pending.reset();
-      }
-      const double stalled = since_progress.seconds();
-      if (recovery_on && stalled > stall_after &&
-          exhausted_waiters.load(std::memory_order_acquire) > 0) {
-        auto report =
-            std::make_shared<StallReport>(collect_and_diagnose(stalled));
-        if (bell->value() != now) continue;  // progressed mid-snapshot
-        if (exhausted_waiters.load(std::memory_order_acquire) > 0) {
-          report->retries_exhausted = true;
-          stall_report = report;
-          fail(graph::kInvalidProc,
-               cat("recovery retries exhausted after ", fixed(stalled, 2),
-                   " s without progress: ", report->summary()),
-               FailureKind::kRetriesExhausted);
-          break;
-        }
-        continue;  // the exhausted wait healed while we were snapshotting
-      }
-      if (stalled > stall_after && !diagnosed) {
-        auto report =
-            std::make_shared<StallReport>(collect_and_diagnose(stalled));
-        if (bell->value() != now) continue;  // progressed mid-snapshot
-        diagnosed = true;
-        if (report->genuine_deadlock && !recovery_on) {
-          stall_report = report;
-          fail(graph::kInvalidProc,
-               cat("protocol deadlock after ", fixed(stalled, 2), " s: ",
-                   report->summary()),
-               FailureKind::kDeadlock);
-          break;
-        }
-        // Slow progress — or, with recovery on, a diagnosis the re-request
-        // layer may yet dissolve: hold for the (scaled) watchdog.
-        pending = std::move(report);
-      }
-      if (stalled > effective_watchdog) {
-        if (!pending) {
-          pending =
-              std::make_shared<StallReport>(collect_and_diagnose(stalled));
-        }
-        stall_report = pending;
-        fail(graph::kInvalidProc,
-             cat("watchdog: no protocol progress for ", fixed(stalled, 2),
-                 " s: ", pending->summary()),
-             FailureKind::kWatchdog);
-        break;
-      }
-      control_bell->wait(control_seen, deadline_clamped(heartbeat_us));
-    }
-  }
-
-  // ---- worker ------------------------------------------------------------
-
-  class Resolver final : public ObjectResolver {
-   public:
-    Resolver(Impl& impl, ProcId proc) : impl_(impl), proc_(proc) {}
-
-    std::span<const std::byte> read(DataId d) const override {
-      const std::int64_t size = impl_.plan.graph->data(d).size_bytes;
-      const mem::Offset off = impl_.priv[proc_].memory->offset_of(d);
-      return {impl_.win[static_cast<std::size_t>(proc_)].heap + off,
-              static_cast<std::size_t>(size)};
-    }
-
-    std::span<std::byte> write(DataId d) override {
-      RAPID_CHECK(impl_.plan.graph->data(d).owner == proc_,
-                  cat("task on processor ", proc_, " writing non-owned ",
-                      impl_.plan.graph->data(d).name));
-      const std::int64_t size = impl_.plan.graph->data(d).size_bytes;
-      const mem::Offset off = impl_.priv[proc_].memory->offset_of(d);
-      return {impl_.win[static_cast<std::size_t>(proc_)].heap + off,
-              static_cast<std::size_t>(size)};
-    }
-
-   private:
-    Impl& impl_;
-    ProcId proc_;
-  };
-
-  void complete_task(ProcId q, TaskId t) {
-    Private& me = priv[q];
-    const TaskRuntimePlan& trp = plan.tasks[t];
-    trace_state(q, obs::ProtoState::kSnd);
-    for (ProcId dest : trp.flag_dests) send_flag(q, dest, t);
-    // Collect every send this SND state produces, then route them together:
-    // dispatch_sends coalesces same-destination puts into one batch.
-    me.send_scratch.clear();
-    for (const auto& [d, v] : trp.epoch_memberships) {
-      auto& remaining = me.epoch_remaining[epoch_base[d] +
-                                           static_cast<std::size_t>(v) - 1];
-      if (--remaining == 0) {
-        RAPID_CHECK(me.current_version[d] == v - 1,
-                    "versions completed out of order");
-        me.current_version[d] = v;
-        for (ProcId dest :
-             plan.objects[d].sends_by_version[static_cast<std::size_t>(v)]) {
-          me.send_scratch.push_back(ContentSend{d, v, dest});
-        }
-      }
-    }
-    dispatch_sends(q, me.send_scratch);
-    tasks_executed.fetch_add(1, std::memory_order_relaxed);
-    bump_progress();
-  }
-
-  /// EXE with bounded re-execution: a TransientTaskError (injected or
-  /// thrown by the body for a genuinely transient condition) is retried up
-  /// to RetryPolicy::max_attempts times with the policy's backoff. The
-  /// poison-fill free hook guarantees a retried body cannot silently read
-  /// stale heap through a dangling address — a stale read yields poison,
-  /// not plausible content — and the MAP free hook has reset the
-  /// verification state of any recycled input region.
-  void execute_task(TaskId t, Resolver& resolver) {
-    std::int32_t attempt = 1;
-    for (;;) {
-      try {
-        if (faults_on) {
-          if (induced_on && t == faults.throw_in_task) {
-            throw InjectedFaultError(
-                cat("injected fault: task ", plan.graph->task(t).name,
-                    " forced to fail"));
+/// Rank q's plan-derived private state: the MAP engine (whose offsets are
+/// deterministic, so every process derives the same addresses) and the
+/// owner/reader tables. The free hook pokes rank q's window, so it is
+/// installed only where this process plays q's protocol role. Requires
+/// `win` to be populated. Throws NonExecutableError on capacity failure.
+void Impl::setup_proc_state(ProcId q, bool install_free_hook) {
+  Private& pr = priv[q];
+  pr.memory = std::make_unique<ProcMemory>(
+      plan, q, config.capacity_per_proc, /*alignment=*/8,
+      config.alloc_policy, config.slab_arena);
+  if (install_free_hook && (kPoisonFreed || checksum_on || tracing)) {
+    // Poison-fill freed volatile regions so a read through a stale
+    // address (use-after-free across MAP reuse) yields garbage that the
+    // numeric checks catch, not stale-but-plausible content — and reset
+    // the freed object's verification state so a recycled region is
+    // never trusted on the strength of a previous lifetime's checksum.
+    // The hook fires between a MAP's frees and its reallocations, and
+    // the protocol guarantees no put is in flight to a dead region (see
+    // docs/RUNTIME.md), so neither the memset nor the reset can race a
+    // sender. impl.priv is sized once before the workers start, so the
+    // captured pointers stay valid.
+    std::byte* heap = win[static_cast<std::size_t>(q)].heap;
+    Private* mine = &pr;
+    Impl* self = this;
+    pr.memory->set_free_hook(
+        [heap, mine, self, q](DataId d, mem::Offset off, std::int64_t size) {
+          if (kPoisonFreed && size > 0) {
+            std::memset(heap + off, 0xA5, static_cast<std::size_t>(size));
           }
-          if (induced_on && faults.task_throws_transient(t, attempt)) {
-            throw TransientTaskError(
-                cat("injected transient fault: task ",
-                    plan.graph->task(t).name, " attempt ", attempt));
+          mine->verified_seq[d] = 0;
+          mine->rejected_seq[d] = 0;
+          // The hook fires on the owning worker's thread inside its
+          // MAP, so recording here obeys the single-writer ring rule.
+          if (self->tracing) {
+            self->trace->record(q, obs::EventKind::kMapFree, d, 0, 0,
+                                size);
           }
-          const std::int64_t delay = faults.task_delay_us(t);
-          if (delay > 0) sleep_us(delay);
-        }
-        body(t, resolver);  // EXE
-        return;
-      } catch (const TransientTaskError&) {
-        if (!recovery_on || attempt > options.retry.max_attempts ||
-            tp->aborted()) {
-          throw;
-        }
-        task_retries.fetch_add(1, std::memory_order_relaxed);
-        sleep_us(options.retry.delay_us(attempt));
-        ++attempt;
+        });
+  }
+  if (!config.active_memory) pr.memory->preallocate_all();
+  pr.current_version.assign(
+      static_cast<std::size_t>(plan.graph->num_data()), 0);
+  pr.known_addrs.assign(plan.procs[q].permanents.size() *
+                            static_cast<std::size_t>(plan.num_procs),
+                        mem::kNullOffset);
+  pr.sent_seq.assign(pr.known_addrs.size(), 0);
+  pr.verified_seq.assign(static_cast<std::size_t>(plan.graph->num_data()),
+                         0);
+  pr.rejected_seq.assign(static_cast<std::size_t>(plan.graph->num_data()),
+                         0);
+  pr.suspended_by_dest.resize(static_cast<std::size_t>(plan.num_procs));
+  pr.batch_by_dest.resize(static_cast<std::size_t>(plan.num_procs));
+  pr.addr_epoch.assign(static_cast<std::size_t>(plan.num_procs), 0);
+  pr.scanned_epoch.assign(static_cast<std::size_t>(plan.num_procs), 0);
+  pr.pkg_seq_sent.assign(static_cast<std::size_t>(plan.num_procs), 0);
+  pr.pkg_seq_seen.assign(static_cast<std::size_t>(plan.num_procs), 0);
+}
+
+/// Flattened epoch counters (owner-private: every writer of an object
+/// runs on its owner) plus the baseline address prefill.
+void Impl::setup_epochs_and_baseline() {
+  std::size_t total_epochs = 0;
+  for (DataId d = 0; d < plan.graph->num_data(); ++d) {
+    epoch_base[d] = total_epochs;
+    total_epochs += plan.objects[d].epochs.size();
+  }
+  for (ProcId q = 0; q < plan.num_procs; ++q) {
+    priv[q].epoch_remaining.assign(total_epochs, 0);
+  }
+  for (DataId d = 0; d < plan.graph->num_data(); ++d) {
+    const ProcId owner = plan.graph->data(d).owner;
+    for (std::size_t v = 0; v < plan.objects[d].epochs.size(); ++v) {
+      priv[owner].epoch_remaining[epoch_base[d] + v] =
+          static_cast<std::int32_t>(plan.objects[d].epochs[v].size());
+    }
+  }
+  // Baseline: owners learn every reader address before any worker starts.
+  if (!config.active_memory) {
+    for (ProcId reader = 0; reader < plan.num_procs; ++reader) {
+      for (const sched::VolatileLifetime& v :
+           plan.procs[reader].volatiles) {
+        const ProcId owner = plan.graph->data(v.object).owner;
+        addr_slot(priv[owner], v.object, reader) =
+            priv[reader].memory->offset_of(v.object);
       }
     }
   }
+}
 
-  void worker(ProcId q) {
-    Private& me = priv[q];
-    set_log_thread_proc(q);
-    set_log_thread_run(options.run_id);
-    // Per-run kernel dispatch: a thread-local override instead of the
-    // process-global level, so co-resident service runs with different
-    // RunConfig::kernel_dispatch never clobber each other.
-    if (config.kernel_dispatch >= 0) {
-      num::set_thread_kernel_level(config.kernel_dispatch);
-    }
-    try {
-      const ProcPlan& pp = plan.procs[q];
-      // Initialize owned objects, then issue version-0 sends (they suspend
-      // in active mode until reader addresses arrive).
-      Resolver resolver(*this, q);
-      for (DataId d : pp.permanents) {
-        if (init) init(d, resolver.write(d));
-      }
-      dispatch_sends(q, pp.initial_sends);
+/// Baseline heap samples (permanents, plus preallocated volatiles in
+/// baseline mode), recorded before rank q's worker starts so the
+/// single-writer ring rule holds via the thread-creation edge.
+void Impl::record_heap_baseline(ProcId q) {
+  trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
+                priv[q].memory->in_use_bytes());
+  trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
+                priv[q].memory->peak_bytes());
+}
 
-      me.backoff.emplace(*bell, options.spin_iters, effective_park_us);
-      Backoff& backoff = *me.backoff;
-      const auto n = static_cast<std::int32_t>(pp.order.size());
-      while (!tp->aborted()) {
-        if (snap_gen.load(std::memory_order_acquire) != me.snap_seen) {
-          publish_snapshot(q, 0, 0, graph::kInvalidProc);
-        }
-        if (me.pos < n) {
-          if (config.active_memory && me.memory->needs_map(me.pos)) {
-            // MAP state.
-            set_state(q, ProcState::kMap);
-            trace_state(q, obs::ProtoState::kMap);
-            if (tracing) trace->record(q, obs::EventKind::kMapBegin, me.pos);
-            if (faults_on) maybe_kill(q, FaultPlan::kKillMap);
-            const MapResult map = me.memory->perform_map(me.pos);
-            ++me.maps;
-            if (tracing) {
-              // kMapFree events came from the free hook inside perform_map;
-              // close the MAP with its allocations and the heap samples the
-              // occupancy timeline is built from. kHeapPeak carries the
-              // arena's true peak — tentative allocations rolled back inside
-              // perform_map count, so it can exceed every kHeapSample.
-              for (DataId d : map.allocated) {
-                trace->record(q, obs::EventKind::kMapAlloc, d, 0, 0,
-                              plan.graph->data(d).size_bytes);
-              }
-              trace->record(q, obs::EventKind::kMapEnd, me.pos);
-              trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
-                            me.memory->in_use_bytes());
-              trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
-                            me.memory->peak_bytes());
-            }
-            for (const auto& [dest, pkg] : map.packages) {
-              if (!send_addr_package_blocking(q, dest, pkg)) return;
-            }
-            bump_progress();
-            backoff.reset();
-            continue;
-          }
-          const TaskId t = pp.order[me.pos];
-          // The protocol enters REC before every task (Fig. 3(b)); a ready
-          // task just passes through it instantly.
-          trace_state(q, obs::ProtoState::kRec);
-          if (faults_on && me.pos != me.last_rec_pos) {
-            // First REC entry at this schedule position (re-entries after a
-            // blocked pause are the same protocol state, not a new one).
-            me.last_rec_pos = me.pos;
-            maybe_kill(q, FaultPlan::kKillRec);
-          }
-          // Doorbell value read BEFORE the readiness check: an input that
-          // arrives between the check and the park moves the bell past
-          // `seen`, so the park returns immediately instead of sleeping
-          // through the wakeup.
-          const std::uint64_t seen = bell->value();
-          GateRef gate;
-          if (task_ready(q, t, &gate)) {
-            if (recovery_on) finish_wait(q);
-            if (tracing) {
-              // The task's remote inputs are now all trusted: close the
-              // put→publish→consume flows on the reader side. The stamp is
-              // a fresh acquire load of the published put sequence — a real
-              // release/acquire pair with the owner's publication, so the
-              // conformance checker's publish→consume edge is a genuine
-              // happens-before edge, not a timestamp heuristic.
-              for (const RemoteRead& rr : plan.tasks[t].remote_reads) {
-                const std::uint32_t seq =
-                    win[static_cast<std::size_t>(q)].put_seq[rr.object].load(
-                        std::memory_order_acquire);
-                trace->record(q, obs::EventKind::kConsume, rr.object,
-                              rr.version,
-                              plan.graph->data(rr.object).owner, 0,
-                              static_cast<std::uint16_t>(seq));
-              }
-            }
-            set_state(q, ProcState::kExe);
-            trace_state(q, obs::ProtoState::kExe);
-            if (faults_on) maybe_kill(q, FaultPlan::kKillExe);
-            if (tracing) trace->record(q, obs::EventKind::kTaskBegin, t);
-            execute_task(t, resolver);
-            if (tracing) trace->record(q, obs::EventKind::kTaskEnd, t);
-            ++me.pos;
-            tp->beat(q, static_cast<std::uint8_t>(ProcState::kExe), me.pos);
-            if (faults_on) maybe_kill(q, FaultPlan::kKillSnd);
-            complete_task(q, t);  // SND
-            backoff.reset();
-          } else if (service_ra_cq(q)) {  // REC
-            backoff.reset();
-          } else {
-            set_state(q, ProcState::kRecBlocked);
-            if (recovery_on) note_blocked_wait(q, gate);
-            tp->beat_wait(q, gate.object, gate.version, gate.flag_task,
-                          graph::kInvalidProc, me.wait.attempts,
-                          me.wait.exhausted);
-            traced_pause(q, backoff, seen);
-          }
-          continue;
-        }
-        // END: drain, then wait for global quiescence.
-        trace_state(q, obs::ProtoState::kEnd);
-        const std::uint64_t seen = bell->value();
-        const bool progressed = service_ra_cq(q);
-        if (!me.counted_quiescent && me.suspended_count == 0) {
-          me.counted_quiescent = true;
-          set_state(q, ProcState::kQuiescent);
-          if (tp->note_quiescent(q) == plan.num_procs) {
-            control_bell->ring();  // the run is over: wake the monitor
-          }
-          bump_progress();  // and any peers parked waiting for quiescence
-        } else if (!me.counted_quiescent) {
-          set_state(q, ProcState::kEndDrain);
-        }
-        if (tp->quiescent_count() == plan.num_procs) {
-          return;
-        }
-        if (progressed) {
-          backoff.reset();
-        } else {
-          traced_pause(q, backoff, seen);
-        }
-      }
-    } catch (const NonExecutableError& e) {
-      set_state(q, ProcState::kFailed);
-      fail(q, e.what(), FailureKind::kNonExecutable);
-    } catch (const InjectedFaultError& e) {
-      set_state(q, ProcState::kFailed);
-      fail(q, cat("processor ", q, ": ", e.what()),
-           FailureKind::kInjectedFault);
-    } catch (const std::exception& e) {
-      set_state(q, ProcState::kFailed);
-      fail(q, cat("processor ", q, ": ", e.what()), FailureKind::kTaskError);
+/// Run prologue shared by both backends: per-run state reset, the trace
+/// tag, and the report skeleton every disposition starts from.
+RunReport Impl::begin_run() {
+  reset_run_state();
+  since_run_start.reset();
+  set_log_thread_run(options.run_id);
+  if (tracing) {
+    RAPID_CHECK(trace->num_procs() >= plan.num_procs,
+                "the Trace is sized for fewer processors than the plan");
+    // Tag the trace with its owning run before any worker writes a
+    // record, so multi-tenant Chrome traces split per run.
+    if (options.run_id > 0) trace->set_run_id(options.run_id);
+  }
+  RunReport report;
+  report.run_id = options.run_id;
+  report.attempt_deadline_us = options.attempt_deadline_us;
+  report.transport = to_string(options.transport);
+  report.maps_per_proc.assign(static_cast<std::size_t>(plan.num_procs), 0);
+  report.peak_bytes_per_proc.assign(static_cast<std::size_t>(plan.num_procs),
+                                    0);
+  return report;
+}
+
+/// A capacity failure found during setup: reported, never thrown.
+RunReport Impl::report_nonexecutable(RunReport report,
+                                     const std::exception& e) {
+  report.executable = false;
+  report.failure = e.what();
+  report.failure_kind = FailureKind::kNonExecutable;
+  report.errors.push_back(e.what());
+  last_report = report;
+  return report;
+}
+
+/// Run tail shared by both backends: a recorded failure becomes the
+/// report's disposition. kNonExecutable is the reported "∞" channel; every
+/// other failure throws, carrying the report in last_report().
+RunReport Impl::finish_run(RunReport report) {
+  if (proc_failure) {
+    report.failure_kind = FailureKind::kProcFailure;
+    report.failure = proc_failure->summary();
+    report.errors = tp->failure_texts();
+    report.proc_failure = proc_failure;
+  } else if (tp->any_failure()) {
+    report.errors = tp->failure_texts();
+    report.failure =
+        report.errors.empty() ? "unknown failure" : report.errors.front();
+    report.failure_kind = tp->first_failure_kind();
+    if (report.failure_kind == FailureKind::kNonExecutable) {
+      report.executable = false;
     }
   }
+  last_report = report;
+  switch (report.failure_kind) {
+    case FailureKind::kNone:
+    case FailureKind::kNonExecutable:
+      completed = report.executable;
+      return report;
+    case FailureKind::kDeadlock:
+    case FailureKind::kWatchdog:
+    case FailureKind::kRetriesExhausted:
+      throw ProtocolDeadlockError(report.failure, stall_report);
+    case FailureKind::kProcFailure:
+      throw ProcFailureError(report.failure, report.proc_failure);
+    case FailureKind::kCancelled:
+      throw RunCancelledError(report.failure,
+                              std::make_shared<RunReport>(report));
+    default:
+      throw ExecutionFailedError(report.failure, report.errors);
+  }
+}
 
-  void fill_counters(RunReport& report) {
+RunReport Impl::run_inproc() {
+  RunReport report = begin_run();
+  try {
+    if (config.audit) verify::audit_or_throw(plan, config);
+    owned_tp = make_inproc_transport(
+        plan.num_procs, plan.graph->num_data(), plan.graph->num_tasks(),
+        config.capacity_per_proc);
+    attach_transport(*owned_tp);
     for (ProcId q = 0; q < plan.num_procs; ++q) {
-      report.maps_per_proc[q] = priv[q].maps;
-      if (priv[q].memory) {
-        report.peak_bytes_per_proc[q] = priv[q].memory->peak_bytes();
-      }
+      setup_proc_state(q, /*install_free_hook=*/true);
     }
-    report.content_messages = content_messages.load();
-    report.content_bytes = content_bytes.load();
-    report.put_batches = put_batches.load();
-    report.flag_messages = flag_messages.load();
-    report.addr_packages = addr_packages.load();
-    report.addr_entries = addr_entries.load();
-    report.suspended_sends = suspended_sends.load();
-    report.tasks_executed = tasks_executed.load();
-    report.recovery.nacks_sent = nacks_sent.load();
-    report.recovery.resends = resends.load();
-    report.recovery.flag_resends = flag_resends.load();
-    report.recovery.duplicate_suppressions = duplicate_suppressions.load();
-    report.recovery.checksum_rejections = checksum_rejections.load();
-    report.recovery.task_retries = task_retries.load();
+  } catch (const NonExecutableError& e) {
+    return report_nonexecutable(std::move(report), e);
+  }
+  setup_epochs_and_baseline();
+  if (tracing) {
+    for (ProcId q = 0; q < plan.num_procs; ++q) record_heap_baseline(q);
   }
 
-  // ---- run orchestration -------------------------------------------------
-
-  /// Per-run state reset plus the plan-derived index tables; shared by both
-  /// backends and by shm_worker_run.
-  void reset_run_state() {
-    completed = false;
-    priv.clear();
-    priv.resize(static_cast<std::size_t>(plan.num_procs));
-    win.clear();
-    snap_slots.assign(static_cast<std::size_t>(plan.num_procs),
-                      ProcSnapshot{});
-    snap_gen.store(0);
-    snap_acked.store(0);
-    exhausted_waiters.store(0);
-    stall_report.reset();
-    epoch_base.assign(static_cast<std::size_t>(plan.graph->num_data()), 0);
-    owned_index.assign(static_cast<std::size_t>(plan.graph->num_data()), -1);
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      std::int32_t next = 0;
-      for (DataId d : plan.procs[q].permanents) owned_index[d] = next++;
-    }
+  Stopwatch wall;
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(plan.num_procs));
+  for (ProcId q = 0; q < plan.num_procs; ++q) {
+    threads.emplace_back([this, q] { worker(q); });
   }
-
-  /// Rank q's plan-derived private state: the MAP engine (whose offsets are
-  /// deterministic, so every process derives the same addresses) and the
-  /// owner/reader tables. The free hook pokes rank q's window, so it is
-  /// installed only where this process plays q's protocol role. Requires
-  /// `win` to be populated. Throws NonExecutableError on capacity failure.
-  void setup_proc_state(ProcId q, bool install_free_hook) {
-    Private& pr = priv[q];
-    pr.memory = std::make_unique<ProcMemory>(
-        plan, q, config.capacity_per_proc, /*alignment=*/8,
-        config.alloc_policy, config.slab_arena);
-    if (install_free_hook &&
-        (options.poison_freed || checksum_on || tracing)) {
-      // Poison-fill freed volatile regions so a read through a stale
-      // address (use-after-free across MAP reuse) yields garbage that the
-      // numeric checks catch, not stale-but-plausible content — and reset
-      // the freed object's verification state so a recycled region is
-      // never trusted on the strength of a previous lifetime's checksum.
-      // The hook fires between a MAP's frees and its reallocations, and
-      // the protocol guarantees no put is in flight to a dead region (see
-      // docs/RUNTIME.md), so neither the memset nor the reset can race a
-      // sender. impl.priv is sized once before the workers start, so the
-      // captured pointers stay valid.
-      std::byte* heap = win[static_cast<std::size_t>(q)].heap;
-      Private* mine = &pr;
-      const bool poison = options.poison_freed;
-      Impl* self = this;
-      pr.memory->set_free_hook(
-          [heap, mine, poison, self, q](DataId d, mem::Offset off,
-                                        std::int64_t size) {
-            if (poison && size > 0) {
-              std::memset(heap + off, 0xA5, static_cast<std::size_t>(size));
-            }
-            mine->verified_seq[d] = 0;
-            mine->rejected_seq[d] = 0;
-            // The hook fires on the owning worker's thread inside its
-            // MAP, so recording here obeys the single-writer ring rule.
-            if (self->tracing) {
-              self->trace->record(q, obs::EventKind::kMapFree, d, 0, 0,
-                                  size);
-            }
-          });
-    }
-    if (!config.active_memory) pr.memory->preallocate_all();
-    pr.current_version.assign(
-        static_cast<std::size_t>(plan.graph->num_data()), 0);
-    pr.known_addrs.assign(plan.procs[q].permanents.size() *
-                              static_cast<std::size_t>(plan.num_procs),
-                          mem::kNullOffset);
-    pr.sent_seq.assign(pr.known_addrs.size(), 0);
-    pr.verified_seq.assign(static_cast<std::size_t>(plan.graph->num_data()),
-                           0);
-    pr.rejected_seq.assign(static_cast<std::size_t>(plan.graph->num_data()),
-                           0);
-    pr.suspended_by_dest.resize(static_cast<std::size_t>(plan.num_procs));
-    pr.batch_by_dest.resize(static_cast<std::size_t>(plan.num_procs));
-    pr.addr_epoch.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    pr.scanned_epoch.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    pr.pkg_seq_sent.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    pr.pkg_seq_seen.assign(static_cast<std::size_t>(plan.num_procs), 0);
+  monitor();
+  for (auto& th : threads) th.join();
+  report.parallel_time_us = wall.seconds() * 1e6;
+  for (ProcId q = 0; q < plan.num_procs; ++q) {
+    report.add_counters(q, finished_counters(q));
   }
-
-  /// Flattened epoch counters (owner-private: every writer of an object
-  /// runs on its owner) plus the baseline address prefill.
-  void setup_epochs_and_baseline() {
-    std::size_t total_epochs = 0;
-    for (DataId d = 0; d < plan.graph->num_data(); ++d) {
-      epoch_base[d] = total_epochs;
-      total_epochs += plan.objects[d].epochs.size();
-    }
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      priv[q].epoch_remaining.assign(total_epochs, 0);
-    }
-    for (DataId d = 0; d < plan.graph->num_data(); ++d) {
-      const ProcId owner = plan.graph->data(d).owner;
-      for (std::size_t v = 0; v < plan.objects[d].epochs.size(); ++v) {
-        priv[owner].epoch_remaining[epoch_base[d] + v] =
-            static_cast<std::int32_t>(plan.objects[d].epochs[v].size());
-      }
-    }
-    // Baseline: owners learn every reader address before any worker starts.
-    if (!config.active_memory) {
-      for (ProcId reader = 0; reader < plan.num_procs; ++reader) {
-        for (const sched::VolatileLifetime& v :
-             plan.procs[reader].volatiles) {
-          const ProcId owner = plan.graph->data(v.object).owner;
-          addr_slot(priv[owner], v.object, reader) =
-              priv[reader].memory->offset_of(v.object);
-        }
-      }
-    }
+  if (tracing) {
+    report.metrics = std::make_shared<obs::MetricsSummary>(
+        obs::derive_metrics(*trace));
   }
-
-  RunReport nonexecutable_report(const std::exception& e) {
-    RunReport report;
-    report.run_id = options.run_id;
-    report.attempt_deadline_us = options.attempt_deadline_us;
-    report.maps_per_proc.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    report.peak_bytes_per_proc.assign(
-        static_cast<std::size_t>(plan.num_procs), 0);
-    report.executable = false;
-    report.failure = e.what();
-    report.failure_kind = FailureKind::kNonExecutable;
-    report.errors.push_back(e.what());
-    report.transport = to_string(options.transport);
-    last_report = report;
-    return report;
-  }
-
-  /// Shared failure disposition: returns normally only for the reported
-  /// (non-throwing) kNonExecutable channel.
-  [[noreturn]] void throw_disposition(RunReport& report) {
-    switch (report.failure_kind) {
-      case FailureKind::kDeadlock:
-      case FailureKind::kWatchdog:
-      case FailureKind::kRetriesExhausted:
-        throw ProtocolDeadlockError(report.failure, stall_report);
-      case FailureKind::kProcFailure:
-        throw ProcFailureError(report.failure, report.proc_failure);
-      case FailureKind::kCancelled:
-        throw RunCancelledError(report.failure,
-                                std::make_shared<RunReport>(report));
-      default:
-        throw ExecutionFailedError(report.failure, report.errors);
-    }
-  }
-
-  RunReport run_inproc() {
-    RunReport report;
-    report.run_id = options.run_id;
-    report.attempt_deadline_us = options.attempt_deadline_us;
-    report.maps_per_proc.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    report.peak_bytes_per_proc.assign(
-        static_cast<std::size_t>(plan.num_procs), 0);
-    reset_run_state();
-    since_run_start.reset();
-    set_log_thread_run(options.run_id);
-    try {
-      if (config.audit) verify::audit_or_throw(plan, config);
-      owned_tp = make_inproc_transport(
-          plan.num_procs, plan.graph->num_data(), plan.graph->num_tasks(),
-          config.capacity_per_proc);
-      tp = owned_tp.get();
-      bell = &tp->data_bell();
-      control_bell = &tp->control_bell();
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        win.push_back(tp->window(q));
-      }
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        setup_proc_state(q, /*install_free_hook=*/true);
-      }
-    } catch (const NonExecutableError& e) {
-      return nonexecutable_report(e);
-    }
-    setup_epochs_and_baseline();
-
-    if (tracing) {
-      RAPID_CHECK(trace->num_procs() >= plan.num_procs,
-                  "the Trace is sized for fewer processors than the plan");
-      // Tag the trace with its owning run before any worker writes a
-      // record, so multi-tenant Chrome traces split per run.
-      if (options.run_id > 0) trace->set_run_id(options.run_id);
-      // Baseline heap samples (permanents, plus preallocated volatiles in
-      // baseline mode), recorded before the workers exist so the
-      // single-writer ring rule holds via the thread-creation edge.
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
-                      priv[q].memory->in_use_bytes());
-        trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
-                      priv[q].memory->peak_bytes());
-      }
-    }
-
-    Stopwatch wall;
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(plan.num_procs));
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      threads.emplace_back([this, q] { worker(q); });
-    }
-    monitor();
-    for (auto& th : threads) th.join();
-    report.parallel_time_us = wall.seconds() * 1e6;
-    fill_counters(report);
-    report.transport = to_string(tp->kind());
-    if (tracing) {
-      report.metrics = std::make_shared<obs::MetricsSummary>(
-          obs::derive_metrics(*trace));
-    }
-
-    if (tp->any_failure()) {
-      const std::vector<std::string> texts = tp->failure_texts();
-      report.failure = texts.empty() ? "unknown failure" : texts.front();
-      report.failure_kind = tp->first_failure_kind();
-      report.errors = texts;
-      last_report = report;
-      if (report.failure_kind == FailureKind::kNonExecutable) {
-        report.executable = false;  // the "∞" channel: reported, not thrown
-        last_report = report;
-        return report;
-      }
-      throw_disposition(report);
-    }
-    completed = report.executable;
-    last_report = report;
-    return report;
-  }
-
-  // ---- shm coordinator ---------------------------------------------------
-
-  ShmRunSpec build_shm_spec(const std::string& trace_dir) const {
-    ShmRunSpec spec;
-    spec.capacity_per_proc = config.capacity_per_proc;
-    spec.active_memory = config.active_memory ? 1 : 0;
-    spec.alloc_policy = static_cast<std::uint8_t>(config.alloc_policy);
-    spec.slab_arena = config.slab_arena ? 1 : 0;
-    spec.mailbox_slots = config.mailbox_slots;
-    spec.kernel_dispatch = config.kernel_dispatch;
-    spec.run_id = options.run_id;
-    spec.watchdog_seconds = options.watchdog_seconds;
-    spec.stall_check_seconds = options.stall_check_seconds;
-    spec.snapshot_wait_seconds = options.snapshot_wait_seconds;
-    spec.spin_iters = options.spin_iters;
-    spec.park_timeout_us = options.park_timeout_us;
-    spec.poison_freed = options.poison_freed ? 1 : 0;
-    spec.checksum = options.checksum ? 1 : 0;
-    spec.retry = options.retry;
-    spec.run_attempt = options.run_attempt;
-    spec.faults = faults;
-    spec.lease_timeout_seconds = options.lease_timeout_seconds;
-    spec.trace_enabled = tracing ? 1 : 0;
-    std::strncpy(spec.trace_dir, trace_dir.c_str(),
-                 sizeof(spec.trace_dir) - 1);
-    std::strncpy(spec.workload_spec, options.workload_spec.c_str(),
-                 sizeof(spec.workload_spec) - 1);
-    spec.plan_fingerprint = rt::plan_fingerprint(plan);
-    return spec;
-  }
-
-  /// Light-state stall diagnosis for the coordinator: the workers live in
-  /// other processes, so snapshots are synthesized from their beat/beat_wait
-  /// publications in the control segment instead of the cooperative
-  /// snapshot handshake.
-  StallReport shm_collect(double stalled_seconds) {
-    std::vector<ProcSnapshot> snaps(static_cast<std::size_t>(plan.num_procs));
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      ProcSnapshot& s = snaps[static_cast<std::size_t>(q)];
-      const LightState l = tp->light(q);
-      s.proc = q;
-      s.state = static_cast<ProcState>(l.state);
-      s.pos = l.pos;
-      s.order_size = static_cast<std::int32_t>(plan.procs[q].order.size());
-      if (s.pos >= 0 && s.pos < s.order_size) {
-        s.current_task = plan.procs[q].order[s.pos];
-      }
-      if (s.state == ProcState::kRecBlocked) {
-        s.waiting_object = l.waiting_object;
-        s.waiting_version = l.waiting_version;
-        s.waiting_flag_task = l.waiting_flag;
-      } else if (s.state == ProcState::kMapBlocked) {
-        s.mailbox_full_dest = l.map_dest;
-      }
-      s.retry_attempts = l.retry_attempts;
-    }
-    StallReport report = diagnose_stall(plan, std::move(snaps),
-                                        stalled_seconds, tp->failure_texts());
-    report.attempt_deadline_us = options.attempt_deadline_us;
-    return report;
-  }
-
-  /// Structured diagnosis of rank `dead`'s death, including every
-  /// survivor's wait that only the corpse could have satisfied. Also
-  /// records the failure into the control segment (coordinator slot) and
-  /// requests the abort so survivors unwind.
-  std::shared_ptr<ProcFailureReport> make_proc_failure(
-      ProcId dead, const char* detected_by, int sig, int code,
-      double lease_age) {
-    auto r = std::make_shared<ProcFailureReport>();
-    r->dead_rank = dead;
-    r->signal = sig;
-    r->exit_code = code;
-    r->detected_by = detected_by;
-    r->lease_age_seconds = lease_age;
-    const LightState dl = tp->light(dead);
-    r->state_at_death = dl.state;
-    r->pos_at_death = dl.pos;
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      if (q == dead || session->child(q).exited) continue;
-      const LightState l = tp->light(q);
-      const auto st = static_cast<ProcState>(l.state);
-      if (st == ProcState::kRecBlocked) {
-        if (l.waiting_object != graph::kInvalidData &&
-            plan.graph->data(l.waiting_object).owner == dead) {
-          OrphanedWait w;
-          w.waiter = q;
-          w.object = l.waiting_object;
-          w.version = l.waiting_version;
-          r->orphaned.push_back(w);
-        } else if (l.waiting_flag != graph::kInvalidTask &&
-                   plan.schedule.proc_of_task[l.waiting_flag] == dead) {
-          OrphanedWait w;
-          w.waiter = q;
-          w.flag_task = l.waiting_flag;
-          r->orphaned.push_back(w);
-        }
-      } else if (st == ProcState::kMapBlocked && l.map_dest == dead) {
-        OrphanedWait w;
-        w.waiter = q;
-        w.map_blocked = true;
-        r->orphaned.push_back(w);
-      }
-    }
-    tp->report_failure(graph::kInvalidProc, FailureKind::kProcFailure,
-                       r->summary());
-    tp->request_abort();
-    bell->ring();
-    control_bell->ring();
-    return r;
-  }
-
-  void fill_counters_shm(RunReport& report) {
-    ShmTransport& st = session->transport();
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      if (!st.worker_done(q)) continue;
-      report.maps_per_proc[q] =
-          static_cast<std::int32_t>(st.worker_counter(q, kCtrMaps));
-      report.peak_bytes_per_proc[q] = st.worker_counter(q, kCtrPeakBytes);
-      report.content_messages += st.worker_counter(q, kCtrContentMessages);
-      report.content_bytes += st.worker_counter(q, kCtrContentBytes);
-      report.put_batches += st.worker_counter(q, kCtrPutBatches);
-      report.flag_messages += st.worker_counter(q, kCtrFlagMessages);
-      report.addr_packages += st.worker_counter(q, kCtrAddrPackages);
-      report.addr_entries += st.worker_counter(q, kCtrAddrEntries);
-      report.suspended_sends += st.worker_counter(q, kCtrSuspendedSends);
-      report.tasks_executed += st.worker_counter(q, kCtrTasksExecuted);
-      report.recovery.nacks_sent += st.worker_counter(q, kCtrNacksSent);
-      report.recovery.resends += st.worker_counter(q, kCtrResends);
-      report.recovery.flag_resends += st.worker_counter(q, kCtrFlagResends);
-      report.recovery.duplicate_suppressions +=
-          st.worker_counter(q, kCtrDupSuppressions);
-      report.recovery.checksum_rejections +=
-          st.worker_counter(q, kCtrChecksumRejections);
-      report.recovery.task_retries += st.worker_counter(q, kCtrTaskRetries);
-    }
-  }
-
-  /// Merges the per-rank trace dumps the workers left in `dir` into the
-  /// session Trace (epoch-rebased; see obs/trace_io.hpp).
-  void merge_worker_traces(const std::string& dir) {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::directory_iterator it(dir, ec);
-    if (ec) {
-      RAPID_WARN("shm trace merge: cannot read " << dir << ": "
-                                                 << ec.message());
-      return;
-    }
-    for (const auto& entry : it) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (name.size() < 11 || name[0] != 'p' ||
-          name.rfind(".trace.bin") != name.size() - 10) {
-        continue;
-      }
-      try {
-        const obs::LoadedProcTrace lt =
-            obs::load_proc_trace(entry.path().string());
-        if (lt.proc >= 0 && lt.proc < trace->num_procs()) {
-          obs::merge_proc_trace(trace, lt);
-        }
-      } catch (const Error& e) {
-        RAPID_WARN("shm trace merge: skipping " << name << ": " << e.what());
-      }
-    }
-  }
-
-  RunReport run_shm() {
-    RunReport report;
-    report.run_id = options.run_id;
-    report.attempt_deadline_us = options.attempt_deadline_us;
-    report.transport = to_string(TransportKind::kShm);
-    report.maps_per_proc.assign(static_cast<std::size_t>(plan.num_procs), 0);
-    report.peak_bytes_per_proc.assign(
-        static_cast<std::size_t>(plan.num_procs), 0);
-    reset_run_state();
-    since_run_start.reset();
-    set_log_thread_run(options.run_id);
-
-    std::string trace_dir = options.shm_trace_dir;
-    bool throwaway_trace_dir = false;
-    if (tracing) {
-      RAPID_CHECK(trace->num_procs() >= plan.num_procs,
-                  "the Trace is sized for fewer processors than the plan");
-      if (options.run_id > 0) trace->set_run_id(options.run_id);
-      if (trace_dir.empty()) {
-        trace_dir = (std::filesystem::temp_directory_path() /
-                     cat("rapid-trace-", ::getpid(), "-",
-                         now_ns() & 0xffffff))
-                        .string();
-        throwaway_trace_dir = true;
-      }
-      std::filesystem::create_directories(trace_dir);
-    }
-
-    try {
-      if (config.audit) verify::audit_or_throw(plan, config);
-      ShmTransport::Dims dims;
-      dims.num_procs = plan.num_procs;
-      dims.num_data = plan.graph->num_data();
-      dims.num_tasks = plan.graph->num_tasks();
-      dims.heap_bytes = config.capacity_per_proc;
-      session = ShmSession::create(dims, build_shm_spec(trace_dir));
-      tp = &session->transport();
-      bell = &tp->data_bell();
-      control_bell = &tp->control_bell();
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        win.push_back(tp->window(q));
-      }
-      // Coordinator-side MAP engines for every rank: the offsets are
-      // deterministic, so read_object and the baseline prefill agree with
-      // the engines the workers rebuild for themselves. No free hooks —
-      // the coordinator never plays a protocol role.
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        setup_proc_state(q, /*install_free_hook=*/false);
-      }
-    } catch (const NonExecutableError& e) {
-      session.reset();
-      return nonexecutable_report(e);
-    }
-    setup_epochs_and_baseline();
-
-    Stopwatch wall;
-    if (options.shm_launch == ThreadedOptions::ShmLaunch::kSpawn) {
-      RAPID_CHECK(!options.shm_worker_path.empty(),
-                  "shm spawn mode needs ThreadedOptions::shm_worker_path");
-      RAPID_CHECK(!options.workload_spec.empty(),
-                  "shm spawn mode needs ThreadedOptions::workload_spec so "
-                  "rapid_shm_worker can rebuild the plan");
-      session->spawn_exec(options.shm_worker_path);
-    } else {
-      ShmTransport* st = &session->transport();
-      session->spawn_fork([this, st](ProcId q) {
-        (void)q;  // spawn_fork already switched the transport's rank
-        return shm_worker_run(*st, plan, init, body);
-      });
-    }
-
-    // Coordinator loop: reap deaths, police leases, watch progress.
-    std::shared_ptr<ProcFailureReport> proc_failure;
-    ShmTransport& st = session->transport();
-    const double stall_after =
-        std::min(options.stall_check_seconds, effective_watchdog);
-    const std::int64_t heartbeat_us = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(stall_after * 1e6 / 4), 1000, 250000);
-    std::uint64_t last = bell->value();
-    Stopwatch since_progress;
-    Stopwatch since_start;
-    bool diagnosed = false;
-    std::shared_ptr<const StallReport> pending;
-    for (;;) {
-      const std::uint64_t control_seen = control_bell->value();
-      session->poll();
-      for (ProcId q = 0; q < plan.num_procs && !proc_failure; ++q) {
-        ShmSession::Child& c = session->child(q);
-        if (!c.exited || c.reported) continue;
-        c.reported = true;
-        if (c.signal != 0 || (c.exit_code != kShmWorkerClean &&
-                              c.exit_code != kShmWorkerAborted &&
-                              c.exit_code != kShmWorkerFailed)) {
-          proc_failure = make_proc_failure(q, "waitpid", c.signal,
-                                           c.exit_code,
-                                           st.lease_age_seconds(q));
-        }
-      }
-      if (proc_failure) break;
-      if (tp->quiescent_count() >= plan.num_procs || tp->aborted()) break;
-      if (check_cancelled()) break;
-      if (session->all_exited()) break;  // defensive: no child left to wait on
-      // Lease lapse: a rank that stopped beating while NOT inside a task
-      // body (kExe beats are suspended for the body's duration) is dead to
-      // the protocol even if the process still exists (SIGSTOP, livelock).
-      // Kill it so fail-stop is true, then report.
-      for (ProcId q = 0; q < plan.num_procs && !proc_failure; ++q) {
-        if (session->child(q).exited || st.worker_done(q)) continue;
-        const LightState l = tp->light(q);
-        const auto state = static_cast<ProcState>(l.state);
-        if (state == ProcState::kExe || state == ProcState::kQuiescent ||
-            state == ProcState::kFailed) {
-          continue;
-        }
-        const double age = l.lease_ns == 0 ? since_start.seconds()
-                                           : st.lease_age_seconds(q);
-        if (age > options.lease_timeout_seconds) {
-          ::kill(session->child(q).pid, SIGKILL);
-          proc_failure = make_proc_failure(q, "lease", SIGKILL, 0, age);
-        }
-      }
-      if (proc_failure) break;
-      const std::uint64_t now = bell->value();
-      if (now != last) {
-        last = now;
-        since_progress.reset();
-        diagnosed = false;
-        pending.reset();
-      }
-      const double stalled = since_progress.seconds();
-      if (stalled > stall_after && !diagnosed) {
-        auto rep = std::make_shared<StallReport>(shm_collect(stalled));
-        if (bell->value() != now) continue;  // progressed mid-snapshot
-        diagnosed = true;
-        bool exhausted = false;
-        for (ProcId q = 0; q < plan.num_procs; ++q) {
-          if (tp->light(q).retries_exhausted) exhausted = true;
-        }
-        if (recovery_on && exhausted) {
-          rep->retries_exhausted = true;
-          stall_report = rep;
-          fail(graph::kInvalidProc,
-               cat("recovery retries exhausted after ", fixed(stalled, 2),
-                   " s without progress: ", rep->summary()),
-               FailureKind::kRetriesExhausted);
-          break;
-        }
-        if (rep->genuine_deadlock && !recovery_on) {
-          stall_report = rep;
-          fail(graph::kInvalidProc,
-               cat("protocol deadlock after ", fixed(stalled, 2), " s: ",
-                   rep->summary()),
-               FailureKind::kDeadlock);
-          break;
-        }
-        pending = rep;
-      }
-      if (stalled > effective_watchdog) {
-        if (!pending) {
-          pending = std::make_shared<StallReport>(shm_collect(stalled));
-        }
-        stall_report = pending;
-        fail(graph::kInvalidProc,
-             cat("watchdog: no protocol progress for ", fixed(stalled, 2),
-                 " s: ", pending->summary()),
-             FailureKind::kWatchdog);
-        break;
-      }
-      control_bell->wait(control_seen, deadline_clamped(heartbeat_us));
-    }
-
-    // Teardown: whatever ended the loop, no child may outlive the run.
-    const bool clean = !proc_failure && !tp->any_failure() &&
-                       tp->quiescent_count() >= plan.num_procs;
-    if (!clean) {
-      tp->request_abort();
-      bell->ring();
-      control_bell->ring();
-    }
-    if (!session->wait_all(
-            std::max(2.0, 2.0 * options.lease_timeout_seconds))) {
-      session->kill_all(SIGKILL);
-      session->wait_all(5.0);
-    }
-    report.parallel_time_us = wall.seconds() * 1e6;
-    fill_counters_shm(report);
-    if (tracing) {
-      merge_worker_traces(trace_dir);
-      report.metrics = std::make_shared<obs::MetricsSummary>(
-          obs::derive_metrics(*trace));
-      if (throwaway_trace_dir) {
-        std::error_code ec;
-        std::filesystem::remove_all(trace_dir, ec);
-      }
-    }
-
-    if (proc_failure) {
-      report.failure_kind = FailureKind::kProcFailure;
-      report.failure = proc_failure->summary();
-      report.errors = tp->failure_texts();
-      report.proc_failure = proc_failure;
-      last_report = report;
-      throw_disposition(report);
-    }
-    if (tp->any_failure()) {
-      const std::vector<std::string> texts = tp->failure_texts();
-      report.failure = texts.empty() ? "unknown failure" : texts.front();
-      report.failure_kind = tp->first_failure_kind();
-      report.errors = texts;
-      last_report = report;
-      if (report.failure_kind == FailureKind::kNonExecutable) {
-        report.executable = false;
-        last_report = report;
-        return report;
-      }
-      throw_disposition(report);
-    }
-    if (!clean) {
-      // All children exited without quiescence or any recorded failure —
-      // should be impossible; surface it (with each child's exit status and
-      // last beat) rather than return a bogus clean report.
-      report.failure_kind = FailureKind::kWatchdog;
-      std::string detail = cat("shm run ended without quiescence or a "
-                               "recorded failure (quiescent ",
-                               tp->quiescent_count(), "/", plan.num_procs,
-                               ")");
-      for (ProcId q = 0; q < plan.num_procs; ++q) {
-        const ShmSession::Child& c = session->child(q);
-        const LightState l = tp->light(q);
-        detail += cat("; p", q, ": ",
-                      c.exited
-                          ? (c.signal != 0 ? cat("signal ", c.signal)
-                                           : cat("exit ", c.exit_code))
-                          : std::string("running"),
-                      " state ", static_cast<int>(l.state), " pos ", l.pos);
-      }
-      report.failure = detail;
-      report.errors.push_back(report.failure);
-      last_report = report;
-      throw_disposition(report);
-    }
-    completed = report.executable;
-    last_report = report;
-    return report;
-  }
-};
+  return finish_run(std::move(report));
+}
 
 ThreadedExecutor::ThreadedExecutor(const RunPlan& plan, const RunConfig& config,
                                    ObjectInit init, TaskBody body,
@@ -2108,129 +733,6 @@ std::vector<std::byte> ThreadedExecutor::read_object(DataId d) const {
   const std::byte* base =
       impl.win[static_cast<std::size_t>(owner)].heap + off;
   return std::vector<std::byte>(base, base + size);
-}
-
-// One rank's worker run against an shm transport: rebuild the run
-// parameters from the segment header (so fork children and exec'd
-// rapid_shm_worker processes execute identically), run the unchanged
-// protocol loop on the calling thread, then publish counters and dump the
-// trace ring for the coordinator to merge.
-int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
-                   const ObjectInit& init, const TaskBody& body) {
-  const ProcId q = transport.local_rank();
-  // A lambda so the catch below can turn *anything* escaping the worker
-  // loop into a structured failure in the segment, never a silent nonzero
-  // exit. (A plain helper function would lose Impl friendship.)
-  auto inner = [&]() -> int {
-  const ShmRunSpec& spec = transport.spec();
-  RunConfig config;
-  config.capacity_per_proc = spec.capacity_per_proc;
-  config.active_memory = spec.active_memory != 0;
-  config.alloc_policy = static_cast<mem::AllocPolicy>(spec.alloc_policy);
-  config.slab_arena = spec.slab_arena != 0;
-  config.mailbox_slots = spec.mailbox_slots;
-  config.kernel_dispatch = spec.kernel_dispatch;
-  config.audit = false;  // the coordinator audited before spawning
-  ThreadedOptions options;
-  options.run_id = spec.run_id;
-  options.watchdog_seconds = spec.watchdog_seconds;
-  options.stall_check_seconds = spec.stall_check_seconds;
-  options.snapshot_wait_seconds = spec.snapshot_wait_seconds;
-  options.spin_iters = spec.spin_iters;
-  options.park_timeout_us = spec.park_timeout_us;
-  options.poison_freed = spec.poison_freed != 0;
-  options.checksum = spec.checksum != 0;
-  options.retry = spec.retry;
-  options.run_attempt = spec.run_attempt;
-  options.faults = spec.faults;
-  options.transport = TransportKind::kShm;
-  options.lease_timeout_seconds = spec.lease_timeout_seconds;
-  obs::TraceConfig tc;
-  tc.enabled = spec.trace_enabled != 0;
-  tc.events_per_proc = spec.trace_events_per_proc;
-  obs::Trace local_trace(plan.num_procs, tc);
-  if (spec.trace_enabled != 0) options.trace = &local_trace;
-
-  ThreadedExecutor::Impl impl(plan, config, init, body, options);
-  impl.reset_run_state();
-  impl.tp = &transport;
-  impl.bell = &transport.data_bell();
-  impl.control_bell = &transport.control_bell();
-  for (ProcId r = 0; r < plan.num_procs; ++r) {
-    impl.win.push_back(transport.window(r));
-  }
-  set_log_thread_proc(q);
-  try {
-    // MAP engines for every rank (offsets feed the baseline prefill and the
-    // owner tables); the free hook only for the rank whose window this
-    // process owns.
-    for (ProcId r = 0; r < plan.num_procs; ++r) {
-      impl.setup_proc_state(r, /*install_free_hook=*/r == q);
-    }
-  } catch (const std::exception& e) {
-    transport.report_failure(q, FailureKind::kNonExecutable, e.what());
-    transport.request_abort();
-    transport.data_bell().ring();
-    transport.control_bell().ring();
-    return kShmWorkerFailed;
-  }
-  impl.setup_epochs_and_baseline();
-  if (impl.tracing) {
-    impl.trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
-                       impl.priv[q].memory->in_use_bytes());
-    impl.trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
-                       impl.priv[q].memory->peak_bytes());
-  }
-  transport.beat(q, static_cast<std::uint8_t>(ProcState::kStart), 0);
-
-  impl.worker(q);  // the full REC/EXE/SND/MAP/END loop, on this thread
-
-  int rc = kShmWorkerClean;
-  if (transport.rank_failed(q)) {
-    rc = kShmWorkerFailed;
-  } else if (transport.aborted() &&
-             transport.quiescent_count() < plan.num_procs) {
-    rc = kShmWorkerAborted;
-  }
-  std::int64_t counters[kNumShmCounters] = {};
-  counters[kCtrContentMessages] = impl.content_messages.load();
-  counters[kCtrContentBytes] = impl.content_bytes.load();
-  counters[kCtrPutBatches] = impl.put_batches.load();
-  counters[kCtrFlagMessages] = impl.flag_messages.load();
-  counters[kCtrAddrPackages] = impl.addr_packages.load();
-  counters[kCtrAddrEntries] = impl.addr_entries.load();
-  counters[kCtrSuspendedSends] = impl.suspended_sends.load();
-  counters[kCtrTasksExecuted] = impl.tasks_executed.load();
-  counters[kCtrNacksSent] = impl.nacks_sent.load();
-  counters[kCtrResends] = impl.resends.load();
-  counters[kCtrFlagResends] = impl.flag_resends.load();
-  counters[kCtrDupSuppressions] = impl.duplicate_suppressions.load();
-  counters[kCtrChecksumRejections] = impl.checksum_rejections.load();
-  counters[kCtrTaskRetries] = impl.task_retries.load();
-  counters[kCtrMaps] = impl.priv[q].maps;
-  counters[kCtrPeakBytes] =
-      impl.priv[q].memory ? impl.priv[q].memory->peak_bytes() : 0;
-  transport.publish_worker_done(q, counters);
-  if (impl.tracing && spec.trace_dir[0] != '\0') {
-    const std::string path =
-        cat(spec.trace_dir, "/p", q, ".pid", ::getpid(), ".trace.bin");
-    if (!obs::save_proc_trace(*impl.trace, q, path)) {
-      RAPID_WARN("shm worker p" << q << ": failed to dump trace to "
-                                << path);
-    }
-  }
-  return rc;
-  };
-  try {
-    return inner();
-  } catch (const std::exception& e) {
-    transport.report_failure(q, FailureKind::kTaskError,
-                             cat("shm worker p", q, ": ", e.what()));
-    transport.request_abort();
-    transport.data_bell().ring();
-    transport.control_bell().ring();
-    return kShmWorkerFailed;
-  }
 }
 
 const RunReport& ThreadedExecutor::last_report() const {

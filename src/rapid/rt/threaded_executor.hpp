@@ -36,8 +36,6 @@ class Trace;  // obs/trace.hpp — per-processor ring-buffer event tracer
 
 namespace rapid::rt {
 
-class ShmTransport;  // rt/shm_transport.hpp
-
 /// Resolves data objects to buffers in the executing processor's heap.
 /// Reads of remote objects see the locally received copy; writes are only
 /// legal on the owner (owner-compute).
@@ -55,31 +53,13 @@ using TaskBody = std::function<void(TaskId, ObjectResolver&)>;
 
 struct ThreadedOptions {
   /// Hard limit: abort with ProtocolDeadlockError (carrying the last stall
-  /// diagnosis) if no global progress for this long.
+  /// diagnosis) if no global progress for this long. Well before it (after
+  /// 0.5 s without progress) the monitor snapshots every processor and
+  /// builds the wait-for graph: a genuine cycle fails the run immediately
+  /// with a structured StallReport, anything else is slow progress and the
+  /// run resumes — so a real deadlock is diagnosed in seconds, not
+  /// watchdog_seconds.
   double watchdog_seconds = 30.0;
-  /// Soft limit: after this long without progress the monitor snapshots
-  /// every processor and builds the wait-for graph. A genuine cycle fails
-  /// the run immediately with a structured StallReport; anything else is
-  /// classified as slow progress and the run resumes — so diagnosis of a
-  /// real deadlock fires in seconds, not watchdog_seconds.
-  double stall_check_seconds = 0.5;
-  /// How long the monitor waits for workers to publish their snapshots
-  /// (workers blocked in a long task body are reported from light state).
-  double snapshot_wait_seconds = 0.25;
-  /// Blocked-state backoff: iterations of cheap spinning (cpu_relax, then
-  /// yield) before a blocked processor parks on the progress doorbell.
-  std::int32_t spin_iters = 64;
-  /// Park timeout (µs): an explicit doorbell ring normally ends a park;
-  /// the timeout is the bound on how stale a parked thread can go.
-  std::int64_t park_timeout_us = 2000;
-  /// Fill volatile regions freed by a MAP with 0xA5 so use-after-free
-  /// across heap reuse reads as garbage, not stale content. Debug default;
-  /// off in NDEBUG builds (it is a memset per freed object).
-#ifdef NDEBUG
-  bool poison_freed = false;
-#else
-  bool poison_freed = true;
-#endif
   /// Integrity-checked RMA: every content put and address package carries
   /// a CRC32C verified before the publication is trusted (docs/PROTOCOL.md,
   /// "Integrity and re-request recovery"). A mismatch fails the run with
@@ -117,8 +97,9 @@ struct ThreadedOptions {
   /// (single-writer, lock-free), and run() attaches the derived
   /// MetricsSummary to the RunReport. The Trace must outlive run() and be
   /// sized for at least plan.num_procs processors. On the shm transport
-  /// each worker process traces into a private ring, dumps it at clean
-  /// exit, and the coordinator merges the per-rank files into this Trace.
+  /// each worker process traces into a private ring of this Trace's
+  /// capacity, dumps it at clean exit, and the coordinator merges the
+  /// per-rank files (from a throwaway per-run directory) into this Trace.
   obs::Trace* trace = nullptr;
 
   /// Which one-sided transport carries the data plane. kInProc (default)
@@ -138,14 +119,10 @@ struct ThreadedOptions {
   /// plan for spawned workers; checked against a fingerprint of the
   /// coordinator's plan before any worker touches shared state.
   std::string workload_spec;
-  /// Directory for per-rank worker trace dumps (shm + trace only). Empty:
-  /// a throwaway directory under the system temp dir, removed after the
-  /// merge.
-  std::string shm_trace_dir;
   /// Heartbeat lease (shm only): a worker whose lease goes stale for this
-  /// long while not inside a task body is declared dead (SIGKILLed if
-  /// still twitching, e.g. SIGSTOP) and the run fail-stops with a
-  /// ProcFailureReport.
+  /// long while not inside a task body — or while stopped by a signal,
+  /// wherever it is — is declared dead (SIGKILLed if still twitching) and
+  /// the run fail-stops with a ProcFailureReport.
   double lease_timeout_seconds = 2.0;
 };
 
@@ -178,19 +155,18 @@ class ThreadedExecutor {
   const RunReport& last_report() const;
 
   /// Requests cooperative cancellation of an in-flight run() from another
-  /// thread. The monitor observes the request within one heartbeat
-  /// (bounded by stall_check_seconds/4, at most 250 ms), aborts the run,
+  /// thread. The monitor observes the request within one heartbeat (at
+  /// most 125 ms), aborts the run,
   /// and run() throws RunCancelledError with the partial report. Safe to
   /// call at any time, including before run() or after completion (a run
   /// that already quiesced is unaffected).
   void cancel(std::string reason = "cancelled by caller");
 
- private:
+  /// The implementation, internal to rt/ (rt/executor_impl.hpp).
   struct Impl;
-  std::unique_ptr<Impl> impl_;
 
-  friend int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
-                            const ObjectInit& init, const TaskBody& body);
+ private:
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace rapid::rt

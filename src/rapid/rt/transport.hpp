@@ -185,6 +185,14 @@ class Transport {
   virtual FailureKind first_failure_kind() const = 0;
   /// All failure texts, first-reported first.
   virtual std::vector<std::string> failure_texts() const = 0;
+  /// Fail-stop: records the failure, requests the abort, and rings both
+  /// bells so parked workers and the monitor observe it.
+  void fail_stop(ProcId q, FailureKind kind, const std::string& text) {
+    report_failure(q, kind, text);
+    request_abort();
+    data_bell().ring();
+    control_bell().ring();
+  }
 
   // -- liveness / light status ------------------------------------------
 

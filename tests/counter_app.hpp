@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
@@ -115,6 +116,13 @@ struct CounterApp {
   }
 };
 
+/// Two's-complement wrapping add: grid values double every row, so a long
+/// grid would overflow int64 (undefined behaviour) without it.
+inline std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
 /// Integer wavefront over a rows x cols grid of int64 counters. Row 0 is
 /// produced from constants; row i sums two neighbours of row i-1; every
 /// object then gets a doubling update task (same-object read-modify-write,
@@ -179,9 +187,9 @@ struct GridApp {
     if (task.reads.empty()) {
       value[target] = target + 7;  // producer
     } else if (task.reads.size() == 1) {
-      value[target] *= 2;  // doubling update
+      value[target] = wrap_add(value[target], value[target]);  // doubling
     } else {
-      value[target] = value[task.reads[0]] + value[task.reads[1]];
+      value[target] = wrap_add(value[task.reads[0]], value[task.reads[1]]);
     }
   }
 
@@ -205,12 +213,12 @@ struct GridApp {
       if (task.reads.empty()) {
         *tv = target + 7;
       } else if (task.reads.size() == 1) {
-        *tv *= 2;
+        *tv = wrap_add(*tv, *tv);
       } else {
         const auto a = resolver.read(task.reads[0]);
         const auto b = resolver.read(task.reads[1]);
-        *tv = *reinterpret_cast<const std::int64_t*>(a.data()) +
-              *reinterpret_cast<const std::int64_t*>(b.data());
+        *tv = wrap_add(*reinterpret_cast<const std::int64_t*>(a.data()),
+                       *reinterpret_cast<const std::int64_t*>(b.data()));
       }
     };
   }

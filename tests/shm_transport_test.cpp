@@ -24,11 +24,13 @@
 
 #include "counter_app.hpp"
 #include "rapid/num/shm_workloads.hpp"
+#include "rapid/obs/trace.hpp"
 #include "rapid/rt/faults.hpp"
 #include "rapid/rt/proc_failure.hpp"
 #include "rapid/rt/recovery.hpp"
 #include "rapid/rt/shm_transport.hpp"
 #include "rapid/rt/sim_executor.hpp"
+#include "rapid/rt/stall.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/sched/liveness.hpp"
 #include "rapid/support/stopwatch.hpp"
@@ -133,6 +135,19 @@ void run_workload_on_shm(const std::string& spec) {
   ASSERT_TRUE(r.executable) << r.failure;
   EXPECT_EQ(r.transport, "shm");
   EXPECT_LT(wl->residual(exec), 1e-10) << spec;
+  // Every deterministic counter the worker processes publish matches the
+  // simulator oracle. put_batches and suspended_sends depend on timing and
+  // are deliberately not compared.
+  const RunReport sim = simulate(wl->plan, config);
+  ASSERT_TRUE(sim.executable) << sim.failure;
+  EXPECT_EQ(r.tasks_executed, sim.tasks_executed) << spec;
+  EXPECT_EQ(r.content_messages, sim.content_messages) << spec;
+  EXPECT_EQ(r.content_bytes, sim.content_bytes) << spec;
+  EXPECT_EQ(r.flag_messages, sim.flag_messages) << spec;
+  EXPECT_EQ(r.addr_packages, sim.addr_packages) << spec;
+  EXPECT_EQ(r.addr_entries, sim.addr_entries) << spec;
+  EXPECT_EQ(r.maps_per_proc, sim.maps_per_proc) << spec;
+  EXPECT_EQ(r.peak_bytes_per_proc, sim.peak_bytes_per_proc) << spec;
 }
 
 TEST(ShmTransportRun, CholeskyResidualFourProcesses) {
@@ -153,6 +168,61 @@ TEST(ShmTransportRun, TriSolveResidualFourProcesses) {
 TEST(ShmTransportRun, NBodyResidualFourProcesses) {
   RAPID_SKIP_UNDER_TSAN();
   run_workload_on_shm("nbody:procs=4,sched=mpo");
+}
+
+// ---- trace capacity --------------------------------------------------------
+
+// Worker rings take the coordinator Trace's capacity: a run recording more
+// than 65,536 events on a rank keeps them all, and the merged trace reports
+// no loss.
+TEST(ShmTrace, WorkerRingsTakeTheCoordinatorCapacity) {
+  RAPID_SKIP_UNDER_TSAN();
+  constexpr int kProcs = 4;
+  GridApp app(/*rows=*/3000, /*cols=*/8, kProcs);
+  RunConfig config;
+  config.params = machine::MachineParams::cray_t3d(kProcs);
+  config.active_memory = true;
+  config.capacity_per_proc =
+      sched::analyze_liveness(app.graph, app.schedule).tot_mem();
+  obs::TraceConfig tc;
+  tc.events_per_proc = 1 << 18;
+  obs::Trace trace(kProcs, tc);
+  ThreadedOptions options = shm_options();
+  options.trace = &trace;
+  ThreadedExecutor exec(app.plan, config, app.make_init(), app.make_body(),
+                        options);
+  const RunReport r = exec.run();
+  ASSERT_TRUE(r.executable) << r.failure;
+  EXPECT_GT(trace.recorded(0), 65536);
+  EXPECT_EQ(trace.total_dropped(), 0);
+}
+
+// A worker ring that overflows reports its loss through the dump: the
+// merged trace counts it in dropped(), and what survived is exactly what
+// was recorded minus what was dropped.
+TEST(ShmTrace, WorkerRingOverflowCountsAsDropped) {
+  RAPID_SKIP_UNDER_TSAN();
+  constexpr int kProcs = 4;
+  GridApp app(/*rows=*/50, /*cols=*/8, kProcs);
+  RunConfig config;
+  config.params = machine::MachineParams::cray_t3d(kProcs);
+  config.active_memory = true;
+  config.capacity_per_proc =
+      sched::analyze_liveness(app.graph, app.schedule).tot_mem();
+  obs::TraceConfig tc;
+  tc.events_per_proc = 64;
+  obs::Trace trace(kProcs, tc);
+  ThreadedOptions options = shm_options();
+  options.trace = &trace;
+  ThreadedExecutor exec(app.plan, config, app.make_init(), app.make_body(),
+                        options);
+  ASSERT_TRUE(exec.run().executable);
+  EXPECT_GT(trace.total_dropped(), 0);
+  for (int q = 0; q < kProcs; ++q) {
+    EXPECT_EQ(trace.recorded(q) - trace.dropped(q),
+              static_cast<std::int64_t>(trace.events(q).size()))
+        << "p" << q;
+  }
 }
 
 // ---- exec mode (rapid_shm_worker) ------------------------------------------
@@ -321,6 +391,45 @@ TEST(ShmKillSweep, KillPlanIsInertInProcess) {
   EXPECT_EQ(r.failure_kind, FailureKind::kNone);
 }
 
+// ---- recovery escalation ---------------------------------------------------
+
+// One fault, one answer on both transports: an address package and every
+// re-request are lost, so the waiter exhausts its two re-requests after
+// about 1.2 s. The monitor already diagnosed the stall at 0.5 s under the
+// same data-bell value (exhaustion rings only the control bell); it must
+// still escalate the exhaustion at its next heartbeat, not hold the run
+// until the 6 s watchdog.
+TEST(ShmRecovery, ExhaustionAfterFirstDiagnosisEscalates) {
+  CounterApp app(4);
+  const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
+  const RunConfig config = app.config(liveness.min_mem());
+  for (const TransportKind kind :
+       {TransportKind::kInProc, TransportKind::kShm}) {
+    if (kind == TransportKind::kShm && RAPID_UNDER_TSAN) continue;
+    ThreadedOptions options;
+    options.transport = kind;
+    options.retry = RetryPolicy{2, 400000, 1.0};
+    options.watchdog_seconds = 6.0;
+    options.faults.drop_addr_src = 0;
+    options.faults.drop_addr_nth = 1;
+    options.faults.drop_nacks = true;
+    ThreadedExecutor exec(app.plan, config, app.make_init(), app.make_body(),
+                          options);
+    Stopwatch elapsed;
+    try {
+      exec.run();
+      ADD_FAILURE() << to_string(kind) << ": expected retries exhausted";
+    } catch (const ProtocolDeadlockError& e) {
+      ASSERT_NE(e.report(), nullptr) << to_string(kind) << ": " << e.what();
+      EXPECT_TRUE(e.report()->retries_exhausted) << to_string(kind);
+    }
+    EXPECT_LT(elapsed.seconds(), 3.0) << to_string(kind);
+    EXPECT_EQ(exec.last_report().failure_kind,
+              FailureKind::kRetriesExhausted)
+        << to_string(kind);
+  }
+}
+
 // ---- control-segment state -------------------------------------------------
 
 // Beats and wait records land in the segment's per-rank control slots and
@@ -333,7 +442,7 @@ TEST(ShmTransportState, BeatsAndWaitRecordsReadBack) {
   dims.num_tasks = 4;
   dims.heap_bytes = 64;
   ShmRunSpec spec;
-  spec.capacity_per_proc = 64;
+  spec.config.capacity_per_proc = 64;
   auto session = ShmSession::create(dims, spec);
   ShmTransport& st = session->transport();
   st.beat(1, /*state=*/3, /*pos=*/17);
@@ -364,7 +473,7 @@ TEST(ShmLease, SilentWorkerAgesItsLease) {
   dims.num_tasks = 2;
   dims.heap_bytes = 64;
   ShmRunSpec spec;
-  spec.capacity_per_proc = 64;
+  spec.config.capacity_per_proc = 64;
   spec.lease_timeout_seconds = 0.2;
   auto session = ShmSession::create(dims, spec);
   ShmTransport& st = session->transport();
@@ -382,6 +491,39 @@ TEST(ShmLease, SilentWorkerAgesItsLease) {
   EXPECT_GE(st.lease_age_seconds(0), 0.5);
   session->kill_all(SIGKILL);
   EXPECT_TRUE(session->wait_all(5.0));
+}
+
+// A rank stopped inside a task body cannot finish it: it loses the EXE
+// lease exemption and is reported by the lease, instead of leaving the run
+// to the watchdog.
+TEST(ShmLease, RankStoppedInsideTaskBodyLapses) {
+  RAPID_SKIP_UNDER_TSAN();
+  CounterApp app(4);
+  const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
+  const TaskBody base = app.make_body();
+  const graph::TaskId victim = app.plan.procs[1].order.front();
+  const TaskBody stopping = [base, victim](graph::TaskId t,
+                                           ObjectResolver& r) {
+    if (t == victim) ::raise(SIGSTOP);
+    base(t, r);
+  };
+  ThreadedOptions options = shm_options();
+  options.lease_timeout_seconds = 0.5;
+  options.watchdog_seconds = 10.0;
+  ThreadedExecutor exec(app.plan, app.config(liveness.min_mem()),
+                        app.make_init(), stopping, options);
+  Stopwatch elapsed;
+  try {
+    exec.run();
+    ADD_FAILURE() << "a stopped rank must fail the run";
+  } catch (const ProcFailureError& e) {
+    ASSERT_NE(e.report(), nullptr);
+    EXPECT_EQ(e.report()->dead_rank, 1);
+    EXPECT_EQ(e.report()->detected_by, "lease");
+    EXPECT_EQ(static_cast<ProcState>(e.report()->state_at_death),
+              ProcState::kExe);
+  }
+  EXPECT_LT(elapsed.seconds(), 5.0);
 }
 
 // Executor level: every worker SIGSTOPped mid-run. Blocked ranks stop

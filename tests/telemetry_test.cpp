@@ -422,7 +422,7 @@ TEST(ShmHealth, HeartbeatGoesStaleThenRecoversAcrossKillAndRespawn) {
   dims.num_tasks = 2;
   dims.heap_bytes = 64;
   rt::ShmRunSpec spec;
-  spec.capacity_per_proc = 64;
+  spec.config.capacity_per_proc = 64;
   spec.lease_timeout_seconds = 0.2;
 
   MetricsRegistry reg;
