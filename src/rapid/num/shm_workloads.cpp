@@ -1,7 +1,6 @@
 #include "rapid/num/shm_workloads.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -37,20 +36,6 @@ struct SpecParams {
   std::int64_t delay = 0;
 };
 
-/// `val` read as a whole T: no `+` or spaces, no trailing characters, in range.
-template <typename T>
-T number(std::string_view key, std::string_view val, const std::string& spec) {
-  T out{};
-  const char* end = val.data() + val.size();
-  const auto [ptr, ec] = std::from_chars(val.data(), end, out);
-  RAPID_CHECK(ec == std::errc() && ptr == end,
-              cat("workload spec: ", key, "=", val,
-                  ec == std::errc::result_out_of_range ? " is out of range"
-                                                       : " is not a number",
-                  " in \"", spec, "\""));
-  return out;
-}
-
 SpecParams parse_spec(const std::string& spec) {
   SpecParams p;
   const std::string_view text(spec);
@@ -66,6 +51,7 @@ SpecParams parse_spec(const std::string& spec) {
   const std::string_view rest = colon == std::string_view::npos
                                     ? std::string_view()
                                     : text.substr(colon + 1);
+  const std::string where = cat("workload spec \"", spec, "\"");
   std::vector<std::string_view> seen;
   std::size_t pos = 0;
   while (pos < rest.size()) {
@@ -85,7 +71,7 @@ SpecParams parse_spec(const std::string& spec) {
                     spec, "\""));
     seen.push_back(key);
     if (factor && key == "grid") {
-      p.grid = number<sparse::Index>(key, val, spec);
+      p.grid = parse_number<sparse::Index>(where, key, val);
     } else if (factor && key == "matrix") {
       RAPID_CHECK(val == "bcsstk15" || val == "bcsstk24" ||
                       val == "bcsstk33" || val == "goodwin",
@@ -95,19 +81,19 @@ SpecParams parse_spec(const std::string& spec) {
                       spec, "\""));
       p.matrix = val;
     } else if (factor && key == "scale") {
-      p.scale = number<double>(key, val, spec);
+      p.scale = parse_number<double>(where, key, val);
     } else if (factor && key == "block") {
-      p.block = number<sparse::Index>(key, val, spec);
+      p.block = parse_number<sparse::Index>(where, key, val);
     } else if (key == "procs") {
-      p.procs = number<int>(key, val, spec);
+      p.procs = parse_number<int>(where, key, val);
     } else if (key == "sched") {
       p.sched = val;
     } else if (grid && key == "rows") {
-      p.rows = number<int>(key, val, spec);
+      p.rows = parse_number<int>(where, key, val);
     } else if (grid && key == "cols") {
-      p.cols = number<int>(key, val, spec);
+      p.cols = parse_number<int>(where, key, val);
     } else if (grid && key == "delay") {
-      p.delay = number<std::int64_t>(key, val, spec);
+      p.delay = parse_number<std::int64_t>(where, key, val);
     } else {
       RAPID_FAIL(cat("workload spec: ", p.app, " takes no key \"", key,
                      "\" in \"", spec, "\""));

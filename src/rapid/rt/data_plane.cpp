@@ -15,7 +15,7 @@ using Impl = ThreadedExecutor::Impl;
 
 /// Mirror the running recovery totals into the transport's control plane
 /// so an external sampler sees per-rank NACK/resend rates mid-run. Only
-/// called on recovery paths (already cold); no-op in-proc.
+/// called on recovery paths (already cold).
 void Impl::publish_recovery_counters(ProcId q) {
   const CounterBlock& c = priv[q].ctr;
   tp->publish_recovery(q, c[kCtrNacksSent],
@@ -95,7 +95,7 @@ void Impl::transmit_batch(ProcId q, ProcId dest,
   if (delay_us > 0) sleep_us(delay_us);
   for (const StagedPut& p : staged) {
     // The one publication-order contract (crc relaxed -> version
-    // release max-merge -> seq release), defined once on the Transport.
+    // release max-merge -> seq release), defined once on the transport.
     tp->publish(dst, p.object, p.version, checksum_on, p.crc, p.attempt);
     if (p.attempt > 1) {
       ++me.ctr[kCtrResends];

@@ -49,9 +49,9 @@ inline constexpr double kStallCheckSeconds = 0.5;
 /// request (workers inside a task body are reported from light state).
 inline constexpr double kSnapshotWaitSeconds = 0.25;
 /// Blocked-state backoff: iterations of cheap spinning (cpu_relax, then
-/// yield) before a blocked processor parks on the progress doorbell.
+/// yield) before a blocked processor parks on the progress bell.
 inline constexpr std::int32_t kSpinIters = 64;
-/// Park timeout (µs): an explicit doorbell ring normally ends a park; the
+/// Park timeout (µs): an explicit bell ring normally ends a park; the
 /// timeout bounds how stale a parked thread can go.
 /// FaultPlan::force_park_timeout overrides it.
 inline constexpr std::int64_t kParkTimeoutUs = 2000;
@@ -225,16 +225,16 @@ struct ThreadedExecutor::Impl {
   std::vector<std::int32_t> owned_index;
 
   /// The one-sided transport behind the data plane: windows, mailboxes,
-  /// NACK channels, doorbells, the abort/quiescence/failure control plane,
+  /// NACK channels, bells, the abort/quiescence/failure control plane,
   /// and the light per-processor status (plus leases, cross-process).
-  /// `win` caches the raw window views so the hot path stays devirtualized;
-  /// `bell`/`control_bell` alias the transport's bells. owned_tp holds the
-  /// in-process backend; shm runs point tp into the session's transport.
-  std::unique_ptr<Transport> owned_tp;
-  Transport* tp = nullptr;
+  /// `win` caches the raw window views; `bell`/`control_bell` alias the
+  /// transport's bells. owned_tp holds the private-mapping transport of an
+  /// in-proc run; shm runs point tp into the session's transport.
+  std::unique_ptr<ShmTransport> owned_tp;
+  ShmTransport* tp = nullptr;
   std::vector<WindowView> win;
-  Bell* bell = nullptr;
-  Bell* control_bell = nullptr;
+  FutexBell* bell = nullptr;
+  FutexBell* control_bell = nullptr;
   /// Coordinator-side shm session (segment + worker processes); kept on
   /// the Impl so read_object can still reach the owner heaps after run().
   /// Non-null exactly while the monitor supervises worker processes.
@@ -371,7 +371,7 @@ struct ThreadedExecutor::Impl {
   void worker(ProcId q);
   const CounterBlock& finished_counters(ProcId q);
   void reset_run_state();
-  void attach_transport(Transport& transport);
+  void attach_transport(ShmTransport& transport);
   void setup_proc_state(ProcId q, bool install_free_hook);
   void setup_epochs_and_baseline();
   void record_heap_baseline(ProcId q);

@@ -108,7 +108,7 @@ struct FaultPlan {
   /// Induced failure — process kill (multi-process/shm transport only):
   /// rank `kill_proc` SIGKILLs itself at its `kill_at_site`-th (1-based)
   /// entry into protocol phase `kill_phase`, counted in the rank's own
-  /// deterministic program order. The in-process backend ignores it (a
+  /// deterministic program order. In-proc runs ignore it (a
   /// thread cannot fail independently); the shm coordinator must detect
   /// the corpse and fail-stop with a ProcFailureReport. Site ordinals are
   /// per (rank, phase): REC counts first-blocked-or-ready entries per

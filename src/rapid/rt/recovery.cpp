@@ -57,9 +57,6 @@ RecoveryRun run_with_recovery(const RunPlan& plan, const RunConfig& config,
                               RunRecoveryOptions ropts) {
   RAPID_CHECK(ropts.max_run_attempts >= 1,
               "run_with_recovery needs at least one attempt");
-  if (ropts.attempt_deadline_us > 0) {
-    options.attempt_deadline_us = ropts.attempt_deadline_us;
-  }
   RecoveryRun out;
   out.attempt_deadline_us = options.attempt_deadline_us;
   RecoveryCounters accumulated;  // from failed attempts

@@ -33,11 +33,6 @@ struct RunRecoveryOptions {
   /// restart_backoff_us * multiplier^(k-2).
   std::int64_t restart_backoff_us = 0;
   double restart_backoff_multiplier = 2.0;
-  /// Per-attempt cancellation deadline forwarded to
-  /// ThreadedOptions::attempt_deadline_us (0 keeps whatever the caller set
-  /// there). Each attempt gets the full budget; a cancelled attempt is
-  /// never restarted — a lapsed deadline only lapses further.
-  std::int64_t attempt_deadline_us = 0;
   /// When true, a run that still fails after the attempt cap — or is
   /// cancelled — does not rethrow: the RecoveryRun comes back with
   /// failed == true, the failing attempt's partial report, and the executor

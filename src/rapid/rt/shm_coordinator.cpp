@@ -170,12 +170,8 @@ RunReport Impl::run_shm() {
   }
   try {
     if (config.audit) verify::audit_or_throw(plan, config);
-    ShmTransport::Dims dims;
-    dims.num_procs = plan.num_procs;
-    dims.num_data = plan.graph->num_data();
-    dims.num_tasks = plan.graph->num_tasks();
-    dims.heap_bytes = config.capacity_per_proc;
-    session = ShmSession::create(dims, build_shm_spec(trace_dir));
+    session = ShmSession::create(ShmTransport::dims_for(plan, config),
+                                 build_shm_spec(trace_dir));
     attach_transport(session->transport());
     // Coordinator-side MAP engines for every rank: the offsets are
     // deterministic, so read_object and the baseline prefill agree with

@@ -1,5 +1,6 @@
 #include "rapid/rt/shm_transport.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <new>
@@ -20,7 +21,9 @@ constexpr char kShmMagic[8] = {'R', 'A', 'P', 'I', 'D', 'S', 'H', 'M'};
 // v2: live_nacks / live_resends mirrors appended to ShmRankCtl so the
 // telemetry sampler can read per-rank recovery traffic mid-run.
 // v3: ShmRunSpec embeds RunConfig; the never-set tuning fields are gone.
-constexpr std::uint32_t kLayoutVersion = 3;
+// v4: mailbox_slots and max_pkg_entries are header dims; mailbox slots are
+// sized from the plan's largest address package, not from num_data.
+constexpr std::uint32_t kLayoutVersion = 4;
 /// Bounded NACK ring per destination; a full ring drops the re-request
 /// (the waiter's next deadline re-sends it — NACKs are idempotent).
 constexpr std::int32_t kNackCap = 1024;
@@ -32,10 +35,7 @@ constexpr std::int64_t align_up(std::int64_t x, std::int64_t a) {
 struct ShmHeader {
   char magic[8];
   std::uint32_t layout_version;
-  std::int32_t num_procs;
-  std::int64_t num_data;
-  std::int64_t num_tasks;
-  std::int64_t heap_bytes;
+  ShmTransport::Dims dims;
   std::int64_t total_bytes;
   ShmRunSpec spec;
   alignas(64) ShmBellState data_bell;
@@ -52,7 +52,8 @@ static_assert(std::is_trivially_destructible_v<ShmHeader>);
 /// blocked-wait record the coordinator diagnoses corpses from, the error
 /// slot, and the end-of-run counters. error_text is written before the
 /// has_error release store, so a reader that observes has_error == 1 sees
-/// the full text.
+/// the full text. The monitor's slot (index num_procs) keeps its text in
+/// ShmTransport::monitor_text_ instead; error_text stays empty there.
 struct alignas(64) ShmRankCtl {
   std::atomic<std::int64_t> lease_ns;
   std::atomic<std::uint8_t> state;
@@ -169,10 +170,8 @@ struct ShmTransport::Layout {
   std::byte* mail = nullptr;
   std::byte* nack = nullptr;
 
-  std::int32_t p = 0;
-  std::int64_t num_data = 0;
-  std::int64_t num_tasks = 0;
-  std::int64_t heap_bytes = 0;
+  Dims d;
+  std::int32_t p = 0;  // d.num_procs
   std::int32_t lane_cap = 0;
   std::int64_t slot_bytes = 0;
   std::int64_t lane_bytes = 0;
@@ -180,19 +179,18 @@ struct ShmTransport::Layout {
   std::int64_t nack_per_dst = 0;
   std::int64_t total_bytes = 0;
 
-  static Layout compute(std::byte* base, std::int32_t p, std::int64_t num_data,
-                        std::int64_t num_tasks, std::int64_t heap_bytes,
-                        std::int32_t mailbox_slots) {
+  static Layout compute(std::byte* base, const Dims& dims) {
+    RAPID_CHECK(dims.num_procs > 0 && dims.heap_bytes >= 0 &&
+                    dims.max_pkg_entries >= 0,
+                "shm transport: bad dims");
     Layout l;
-    l.p = p;
-    l.num_data = num_data;
-    l.num_tasks = num_tasks;
-    l.heap_bytes = heap_bytes;
+    l.d = dims;
+    const std::int32_t p = l.p = dims.num_procs;
     // Duplication faults deliver one extra copy past the logical bound, so
     // the physical ring keeps two slots of headroom above mailbox_slots.
-    l.lane_cap = mailbox_slots + 2;
-    l.slot_bytes =
-        align_up(kSlotHeaderBytes + kSlotEntryBytes * num_data, 8);
+    l.lane_cap = dims.mailbox_slots + 2;
+    l.slot_bytes = align_up(
+        kSlotHeaderBytes + kSlotEntryBytes * dims.max_pkg_entries, 8);
     l.lane_bytes = align_up(static_cast<std::int64_t>(sizeof(MailLane)) +
                                 l.lane_cap * l.slot_bytes,
                             8);
@@ -209,15 +207,15 @@ struct ShmTransport::Layout {
     off = align_up(off + (p + 1) * static_cast<std::int64_t>(sizeof(ShmRankCtl)),
                    64);
     const std::int64_t heap_off = off;
-    off = align_up(off + p * heap_bytes, 64);
+    off = align_up(off + p * dims.heap_bytes, 64);
     const std::int64_t ver_off = off;
-    off = align_up(off + p * num_data * 4, 64);
+    off = align_up(off + p * dims.num_data * 4, 64);
     const std::int64_t crc_off = off;
-    off = align_up(off + p * num_data * 4, 64);
+    off = align_up(off + p * dims.num_data * 4, 64);
     const std::int64_t seq_off = off;
-    off = align_up(off + p * num_data * 4, 64);
+    off = align_up(off + p * dims.num_data * 4, 64);
     const std::int64_t flag_off = off;
-    off = align_up(off + p * num_tasks, 64);
+    off = align_up(off + p * dims.num_tasks, 64);
     const std::int64_t mail_off = off;
     off = align_up(off + p * l.mail_per_dst, 64);
     const std::int64_t nack_off = off;
@@ -260,38 +258,64 @@ struct ShmTransport::Layout {
 };
 
 ShmTransport::ShmTransport(ShmSegment seg, ProcId rank)
-    : seg_(std::move(seg)), rank_(rank) {
-  ShmHeader* hdr = reinterpret_cast<ShmHeader*>(seg_.data());
-  l_ = std::make_unique<Layout>(Layout::compute(
-      seg_.data(), hdr->num_procs, hdr->num_data, hdr->num_tasks,
-      hdr->heap_bytes, hdr->spec.config.mailbox_slots));
-  data_bell_ = std::make_unique<FutexBell>(&l_->hdr->data_bell);
-  control_bell_ = std::make_unique<FutexBell>(&l_->hdr->control_bell);
-}
+    : seg_(std::move(seg)),
+      rank_(rank),
+      l_(std::make_unique<Layout>(Layout::compute(
+          seg_.data(), reinterpret_cast<const ShmHeader*>(seg_.data())->dims))),
+      data_bell_(&l_->hdr->data_bell),
+      control_bell_(&l_->hdr->control_bell) {}
 
 ShmTransport::~ShmTransport() = default;
+
+ShmTransport::Dims ShmTransport::dims_for(const RunPlan& plan,
+                                          const RunConfig& config) {
+  Dims dims;
+  dims.num_procs = plan.num_procs;
+  dims.num_data = plan.graph->num_data();
+  dims.num_tasks = plan.graph->num_tasks();
+  dims.heap_bytes = config.capacity_per_proc;
+  dims.mailbox_slots = config.mailbox_slots;
+  std::vector<std::int64_t> per_owner(
+      static_cast<std::size_t>(plan.num_procs));
+  for (const ProcPlan& reader : plan.procs) {
+    std::fill(per_owner.begin(), per_owner.end(), 0);
+    for (const sched::VolatileLifetime& v : reader.volatiles) {
+      const ProcId owner = plan.graph->data(v.object).owner;
+      dims.max_pkg_entries = std::max(
+          dims.max_pkg_entries, ++per_owner[static_cast<std::size_t>(owner)]);
+    }
+  }
+  return dims;
+}
 
 std::unique_ptr<ShmTransport> ShmTransport::create(const std::string& name,
                                                    const Dims& dims,
                                                    const ShmRunSpec& spec) {
-  RAPID_CHECK(dims.num_procs > 0 && dims.heap_bytes >= 0,
-              "shm transport: bad dims");
-  const Layout sizing =
-      Layout::compute(nullptr, dims.num_procs, dims.num_data, dims.num_tasks,
-                      dims.heap_bytes, spec.config.mailbox_slots);
-  ShmSegment seg = ShmSegment::create(name, sizing.total_bytes);
-  std::byte* base = seg.data();
+  const std::int64_t bytes = Layout::compute(nullptr, dims).total_bytes;
+  return init(ShmSegment::create(name, bytes), dims, spec);
+}
 
-  // The mapping is zero-filled by ftruncate; placement-new every shared
-  // object anyway so the code never leans on atomic representation details.
+std::unique_ptr<ShmTransport> ShmTransport::create_private(const Dims& dims) {
+  const std::int64_t bytes = Layout::compute(nullptr, dims).total_bytes;
+  return init(ShmSegment::anonymous(bytes), dims, ShmRunSpec{});
+}
+
+/// Writes the header and placement-news every shared object of a fresh,
+/// zero-filled segment. The heap windows and the mailbox/NACK slots are
+/// never touched here: on a private mapping their pages stay unmapped
+/// until a rank writes them.
+std::unique_ptr<ShmTransport> ShmTransport::init(ShmSegment seg,
+                                                 const Dims& dims,
+                                                 const ShmRunSpec& spec) {
+  std::byte* base = seg.data();
+  const Layout l = Layout::compute(base, dims);
+  // The mapping is zero-filled; placement-new every shared object anyway
+  // so the code never leans on atomic representation details.
   ShmHeader* hdr = new (base) ShmHeader{};
   std::memcpy(hdr->magic, kShmMagic, sizeof(kShmMagic));
   hdr->layout_version = kLayoutVersion;
-  hdr->num_procs = dims.num_procs;
-  hdr->num_data = dims.num_data;
-  hdr->num_tasks = dims.num_tasks;
-  hdr->heap_bytes = dims.heap_bytes;
-  hdr->total_bytes = sizing.total_bytes;
+  hdr->dims = dims;
+  hdr->total_bytes = l.total_bytes;
   hdr->spec = spec;
   new (&hdr->data_bell) ShmBellState{};
   new (&hdr->control_bell) ShmBellState{};
@@ -299,16 +323,13 @@ std::unique_ptr<ShmTransport> ShmTransport::create(const std::string& name,
   new (&hdr->quiescent) std::atomic<std::int32_t>{0};
   new (&hdr->first_error_rank) std::atomic<std::int32_t>{-1};
 
-  const Layout l = Layout::compute(base, dims.num_procs, dims.num_data,
-                                   dims.num_tasks, dims.heap_bytes,
-                                   spec.config.mailbox_slots);
   for (std::int32_t q = 0; q <= l.p; ++q) new (&l.ctl[q]) ShmRankCtl{};
-  for (std::int64_t i = 0; i < l.p * l.num_data; ++i) {
+  for (std::int64_t i = 0; i < l.p * dims.num_data; ++i) {
     new (&l.versions[i]) std::atomic<std::int32_t>{-1};
     new (&l.crcs[i]) std::atomic<std::uint32_t>{0};
     new (&l.seqs[i]) std::atomic<std::uint32_t>{0};
   }
-  for (std::int64_t i = 0; i < l.p * l.num_tasks; ++i) {
+  for (std::int64_t i = 0; i < l.p * dims.num_tasks; ++i) {
     new (&l.flags[i]) std::atomic<std::uint8_t>{0};
   }
   for (std::int32_t dst = 0; dst < l.p; ++dst) {
@@ -335,7 +356,7 @@ std::unique_ptr<ShmTransport> ShmTransport::attach(const std::string& name,
   RAPID_CHECK(seg.size() >= hdr->total_bytes,
               cat("shm transport: segment truncated (", seg.size(), " < ",
                   hdr->total_bytes, ")"));
-  RAPID_CHECK(rank >= 0 && rank < hdr->num_procs,
+  RAPID_CHECK(rank >= 0 && rank < hdr->dims.num_procs,
               cat("shm transport: rank ", rank, " out of range"));
   return std::unique_ptr<ShmTransport>(
       new ShmTransport(std::move(seg), rank));
@@ -344,24 +365,15 @@ std::unique_ptr<ShmTransport> ShmTransport::attach(const std::string& name,
 const std::string& ShmTransport::segment_name() const { return seg_.name(); }
 const ShmRunSpec& ShmTransport::spec() const { return l_->hdr->spec; }
 
-ShmTransport::Dims ShmTransport::dims() const {
-  Dims d;
-  d.num_procs = l_->p;
-  d.num_data = l_->num_data;
-  d.num_tasks = l_->num_tasks;
-  d.heap_bytes = l_->heap_bytes;
-  return d;
-}
-
 std::int32_t ShmTransport::num_procs() const { return l_->p; }
 
 WindowView ShmTransport::window(ProcId q) {
   WindowView w;
-  w.heap = l_->heaps + q * l_->heap_bytes;
-  w.received_version = l_->versions + q * l_->num_data;
-  w.received_crc = l_->crcs + q * l_->num_data;
-  w.put_seq = l_->seqs + q * l_->num_data;
-  w.flags = l_->flags + q * l_->num_tasks;
+  w.heap = l_->heaps + q * l_->d.heap_bytes;
+  w.received_version = l_->versions + q * l_->d.num_data;
+  w.received_crc = l_->crcs + q * l_->d.num_data;
+  w.put_seq = l_->seqs + q * l_->d.num_data;
+  w.flags = l_->flags + q * l_->d.num_tasks;
   return w;
 }
 
@@ -369,6 +381,11 @@ bool ShmTransport::try_send_addr_package(ProcId from, ProcId dest,
                                          const AddrPackage& pkg,
                                          std::int32_t slot_bound,
                                          std::int32_t copies) {
+  RAPID_CHECK(static_cast<std::int64_t>(pkg.entries.size()) <=
+                  l_->d.max_pkg_entries,
+              cat("shm transport: address package of ", pkg.entries.size(),
+                  " entries exceeds its ", l_->d.max_pkg_entries,
+                  "-entry mailbox slot"));
   MailDstHeader* mh = l_->mail_dst(dest);
   if (!ShmSpinLock::acquire(mh->lock, l_->hdr->abort)) return false;
   MailLane* lane = l_->mail_lane(dest, from);
@@ -453,9 +470,6 @@ void ShmTransport::drain_nacks(ProcId me, std::vector<NackRequest>* out) {
   nh->pending.store(0, std::memory_order_release);
 }
 
-Bell& ShmTransport::data_bell() { return *data_bell_; }
-Bell& ShmTransport::control_bell() { return *control_bell_; }
-
 void ShmTransport::request_abort() {
   l_->hdr->abort.store(1, std::memory_order_release);
 }
@@ -477,10 +491,14 @@ void ShmTransport::report_failure(ProcId q, FailureKind kind,
   const std::int32_t slot = (q >= 0 && q < l_->p) ? q : l_->p;
   ShmRankCtl& c = l_->ctl[slot];
   // First writer per slot wins; a second failure on the same rank keeps
-  // the original (matches the in-proc dedup by kind/first-text).
+  // the original.
   if (c.has_error.load(std::memory_order_acquire) == 0) {
-    std::strncpy(c.error_text, text.c_str(), sizeof(c.error_text) - 1);
-    c.error_text[sizeof(c.error_text) - 1] = '\0';
+    if (slot == l_->p) {
+      monitor_text_ = text;
+    } else {
+      std::strncpy(c.error_text, text.c_str(), sizeof(c.error_text) - 1);
+      c.error_text[sizeof(c.error_text) - 1] = '\0';
+    }
     c.error_kind.store(static_cast<std::uint8_t>(kind),
                        std::memory_order_relaxed);
     c.has_error.store(1, std::memory_order_release);
@@ -508,11 +526,8 @@ std::vector<std::string> ShmTransport::failure_texts() const {
       l_->hdr->first_error_rank.load(std::memory_order_acquire);
   if (first < 0) return out;
   auto append = [&](std::int32_t slot) {
-    const ShmRankCtl& c = l_->ctl[slot];
-    if (c.has_error.load(std::memory_order_acquire) != 0) {
-      out.emplace_back(c.error_text,
-                       strnlen(c.error_text, sizeof(c.error_text)));
-    }
+    if (!rank_failed(slot)) return;
+    out.push_back(slot == l_->p ? monitor_text_ : rank_failure_text(slot));
   };
   append(first);
   for (std::int32_t slot = 0; slot <= l_->p; ++slot) {
@@ -525,12 +540,13 @@ void ShmTransport::beat(ProcId q, std::uint8_t state, std::int32_t pos) {
   ShmRankCtl& c = l_->ctl[q];
   c.pos.store(pos, std::memory_order_relaxed);
   c.state.store(state, std::memory_order_release);
-  c.lease_ns.store(now_ns(), std::memory_order_release);
+  if (seg_.shared()) c.lease_ns.store(now_ns(), std::memory_order_release);
 }
 
 void ShmTransport::beat_wait(ProcId q, DataId object, std::int32_t version,
                              TaskId flag, ProcId map_dest,
                              std::int32_t retry_attempts, bool exhausted) {
+  if (!seg_.shared()) return;
   ShmRankCtl& c = l_->ctl[q];
   c.wait_obj.store(object, std::memory_order_relaxed);
   c.wait_ver.store(version, std::memory_order_relaxed);
@@ -546,6 +562,7 @@ LightState ShmTransport::light(ProcId q) const {
   LightState s;
   s.state = c.state.load(std::memory_order_acquire);
   s.pos = c.pos.load(std::memory_order_acquire);
+  if (!seg_.shared()) return s;  // no lease or wait record on a private mapping
   s.lease_ns = c.lease_ns.load(std::memory_order_acquire);
   s.waiting_object = c.wait_obj.load(std::memory_order_acquire);
   s.waiting_version = c.wait_ver.load(std::memory_order_acquire);

@@ -1,11 +1,9 @@
-// The cross-process transport backend: one OS process per paper-processor,
-// every RMA window an mmap'd region of a single named POSIX shm segment,
-// doorbells futex-backed, liveness a per-rank heartbeat lease in the
-// control block. The layout is strictly offset-based (the segment maps at
-// different addresses in every process); docs/TRANSPORT.md diagrams it.
+// The one transport of the threaded runtime. Every RMA window, mailbox,
+// NACK ring, bell and control slot lives in one segment with a strictly
+// offset-based layout; docs/TRANSPORT.md diagrams it.
 //
 //   [ ShmHeader         | magic, dims, run spec, bells, abort, quiescent ]
-//   [ ShmRankCtl x p    | lease, state/pos, wait record, error, counters ]
+//   [ ShmRankCtl x p+1  | lease, state/pos, wait record, error, counters ]
 //   [ heap windows x p  | capacity_per_proc bytes each                   ]
 //   [ received_version  | p x num_data  atomic<int32>                    ]
 //   [ received_crc      | p x num_data  atomic<uint32>                   ]
@@ -14,15 +12,22 @@
 //   [ mailboxes x p     | per-dest lock + per-src bounded package lanes  ]
 //   [ NACK rings x p    | per-dest lock + bounded NackRequest ring       ]
 //
-// The coordinator (the process that called ThreadedExecutor::run) creates
-// the segment, spawns workers (fork by default — the plan and task bodies
-// are inherited — or exec of rapid_shm_worker, which rebuilds the workload
-// from the spec string in the header), and monitors: waitpid reaping,
-// lease lapses, the light status slots, and the global watchdog. Workers
-// run the unchanged protocol loop against this transport and _exit with
-// kShmWorkerClean / kShmWorkerAborted / kShmWorkerFailed.
+// In-proc runs (TransportKind::kInProc) build the layout in a private
+// anonymous mapping and run the ranks as threads; pages are zero on first
+// touch, so a window costs only the bytes its rank actually writes. Shm
+// runs (kShm) build it in a named POSIX segment: the coordinator (the
+// process that called ThreadedExecutor::run) creates it, spawns workers
+// (fork by default — the plan and task bodies are inherited — or exec of
+// rapid_shm_worker, which rebuilds the workload from the spec string in
+// the header), and monitors: waitpid reaping, lease lapses, the light
+// status slots, and the global watchdog. Workers run the unchanged
+// protocol loop against this transport and _exit with kShmWorkerClean /
+// kShmWorkerAborted / kShmWorkerFailed. Only a shared segment stamps
+// heartbeat leases and wait records: a thread cannot die alone, and the
+// in-proc monitor diagnoses from cooperative snapshots instead.
 #pragma once
 
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -78,23 +83,37 @@ static_assert(std::is_trivially_copyable_v<ShmRunSpec>);
 /// catch an exec-mode worker that rebuilt a different plan.
 std::uint64_t plan_fingerprint(const RunPlan& plan);
 
-class ShmTransport final : public Transport {
+class ShmTransport {
  public:
+  /// Everything the segment layout is computed from.
   struct Dims {
     std::int32_t num_procs = 0;
     std::int64_t num_data = 0;
     std::int64_t num_tasks = 0;
     std::int64_t heap_bytes = 0;  // per rank (capacity_per_proc)
+    /// Logical mailbox bound per (src, dest) lane (RunConfig::mailbox_slots).
+    std::int32_t mailbox_slots = 1;
+    /// Most entries one address package can carry; sizes the mailbox slots.
+    std::int64_t max_pkg_entries = 0;
   };
 
-  /// Coordinator side: creates + initializes the segment. local rank -1.
+  /// The dims a run of `plan` under `config` needs. One MAP sends one
+  /// package from reader r to owner o, holding at most |volatiles of r
+  /// owned by o| entries, so the largest such count bounds every slot.
+  static Dims dims_for(const RunPlan& plan, const RunConfig& config);
+
+  /// Coordinator side of an shm run: creates + initializes the named
+  /// segment. local rank -1.
   static std::unique_ptr<ShmTransport> create(const std::string& name,
                                               const Dims& dims,
                                               const ShmRunSpec& spec);
+  /// In-proc run: the same layout in a private anonymous mapping, for
+  /// ranks that are threads of this process.
+  static std::unique_ptr<ShmTransport> create_private(const Dims& dims);
   /// Worker side (exec mode): maps an existing segment as `rank`.
   static std::unique_ptr<ShmTransport> attach(const std::string& name,
                                               ProcId rank);
-  ~ShmTransport() override;
+  ~ShmTransport();
 
   /// Fork-mode children inherit the coordinator's mapping and just switch
   /// identity.
@@ -103,47 +122,130 @@ class ShmTransport final : public Transport {
 
   const std::string& segment_name() const;
   const ShmRunSpec& spec() const;
-  Dims dims() const;
 
-  // Transport interface --------------------------------------------------
-  TransportKind kind() const override { return TransportKind::kShm; }
-  bool cross_process() const override { return true; }
-  std::int32_t num_procs() const override;
-  WindowView window(ProcId q) override;
+  TransportKind kind() const {
+    return seg_.shared() ? TransportKind::kShm : TransportKind::kInProc;
+  }
+  /// True when peers are OS processes (enables lease bookkeeping and the
+  /// process-kill fault class).
+  bool cross_process() const { return seg_.shared(); }
+  std::int32_t num_procs() const;
+
+  /// Raw view of processor q's window. Valid for the transport's lifetime;
+  /// the executor caches one per rank.
+  WindowView window(ProcId q);
+
+  // -- one-sided data plane ------------------------------------------------
+
+  /// RMA put: copy `size` bytes into q's heap at `dst_off`. No lock, no
+  /// handshake — the plan guarantees the destination range is quiescent.
+  void put(const WindowView& dst, mem::Offset dst_off, const std::byte* src,
+           std::int64_t size) {
+    std::memcpy(dst.heap + dst_off, src, static_cast<std::size_t>(size));
+  }
+
+  /// Publication: crc (relaxed) -> received_version (release, max-merge) ->
+  /// put_seq (release). Readers gate readiness on the version acquire and
+  /// trust on the seq acquire + CRC check; see docs/PROTOCOL.md Theorem 1.
+  void publish(const WindowView& dst, DataId d, std::int32_t version,
+               bool with_crc, std::uint32_t crc, std::uint32_t seq) {
+    if (with_crc) dst.received_crc[d].store(crc, std::memory_order_relaxed);
+    if (dst.received_version[d].load(std::memory_order_relaxed) < version) {
+      dst.received_version[d].store(version, std::memory_order_release);
+    }
+    dst.put_seq[d].store(seq, std::memory_order_release);
+  }
+
+  /// Completion-flag raise (release): the reader's acquire load of the
+  /// flag synchronizes with every write the completing task made.
+  void raise_flag(const WindowView& dst, TaskId t) {
+    dst.flags[t].store(1, std::memory_order_release);
+  }
+
+  // -- address-package mailbox ---------------------------------------------
+
+  /// Deposits `copies` copies of `pkg` into dest's mailbox lane for `from`
+  /// iff the lane holds fewer than `slot_bound` packages. Returns whether
+  /// the deposit happened (false = mailbox full, caller backs off; the
+  /// paper's MAP blocks on exactly this). `copies` > 1 only under the
+  /// duplication fault class.
   bool try_send_addr_package(ProcId from, ProcId dest, const AddrPackage& pkg,
-                             std::int32_t slot_bound,
-                             std::int32_t copies) override;
-  bool addr_packages_pending(ProcId me) const override;
-  void drain_addr_packages(ProcId me, std::vector<AddrPackage>* out) override;
-  std::int64_t mailbox_occupancy(ProcId me) override;
-  void push_nack(ProcId dest, const NackRequest& n) override;
-  bool nacks_pending(ProcId me) const override;
-  void drain_nacks(ProcId me, std::vector<NackRequest>* out) override;
-  Bell& data_bell() override;
-  Bell& control_bell() override;
-  void request_abort() override;
-  bool aborted() const override;
-  std::int32_t note_quiescent(ProcId q) override;
-  std::int32_t quiescent_count() const override;
-  void report_failure(ProcId q, FailureKind kind,
-                      const std::string& text) override;
-  bool any_failure() const override;
-  FailureKind first_failure_kind() const override;
-  std::vector<std::string> failure_texts() const override;
-  void beat(ProcId q, std::uint8_t state, std::int32_t pos) override;
+                             std::int32_t slot_bound, std::int32_t copies);
+  /// Cheap pending probe (acquire) — the fast-path gate before draining.
+  bool addr_packages_pending(ProcId me) const;
+  /// Drains every pending package into `out` (append, source-major FIFO)
+  /// and clears the pending count.
+  void drain_addr_packages(ProcId me, std::vector<AddrPackage>* out);
+  /// Occupancy across all source lanes (diagnostics only).
+  std::int64_t mailbox_occupancy(ProcId me);
+
+  // -- NACK channel --------------------------------------------------------
+
+  void push_nack(ProcId dest, const NackRequest& n);
+  bool nacks_pending(ProcId me) const;
+  void drain_nacks(ProcId me, std::vector<NackRequest>* out);
+
+  // -- bells ---------------------------------------------------------------
+
+  /// Data-plane progress bell: rung on every put/flag/package/consumption.
+  FutexBell& data_bell() { return data_bell_; }
+  /// Control bell: quiescence, failure, retry exhaustion.
+  FutexBell& control_bell() { return control_bell_; }
+
+  // -- run control ---------------------------------------------------------
+
+  void request_abort();
+  bool aborted() const;
+  /// Marks q quiescent; returns the post-increment count.
+  std::int32_t note_quiescent(ProcId q);
+  std::int32_t quiescent_count() const;
+
+  // -- failure capture -----------------------------------------------------
+
+  /// Records a failure raised by processor q, or by the monitor (q < 0).
+  /// The first report fixes the run's disposition kind. A rank's text is
+  /// cut to its fixed-size control slot; the monitor's text (deadlock,
+  /// watchdog, exhaustion, cancel, process failure) stays whole in the
+  /// memory of the process that created the segment, the only one that
+  /// runs the monitor.
+  void report_failure(ProcId q, FailureKind kind, const std::string& text);
+  bool any_failure() const;
+  FailureKind first_failure_kind() const;
+  /// All failure texts, first-reported first.
+  std::vector<std::string> failure_texts() const;
+  /// Fail-stop: records the failure, requests the abort, and rings both
+  /// bells so parked workers and the monitor observe it.
+  void fail_stop(ProcId q, FailureKind kind, const std::string& text) {
+    report_failure(q, kind, text);
+    request_abort();
+    data_bell_.ring();
+    control_bell_.ring();
+  }
+
+  // -- liveness / light status ---------------------------------------------
+
+  /// Heartbeat: publishes q's protocol state and position (release) and,
+  /// on a shared segment, refreshes q's lease.
+  void beat(ProcId q, std::uint8_t state, std::int32_t pos);
+  /// Publishes what q is blocked on, for coordinator-side diagnosis of
+  /// peers that can no longer answer snapshot requests. Shared segments
+  /// only: thread ranks answer cooperative snapshots instead.
   void beat_wait(ProcId q, DataId object, std::int32_t version, TaskId flag,
                  ProcId map_dest, std::int32_t retry_attempts,
-                 bool exhausted) override;
+                 bool exhausted);
+  /// Publishes q's running recovery-traffic totals (NACKs sent, content
+  /// resends) so an external sampler can read per-rank health *during* a
+  /// run (distinct from worker_counters, which is valid only after
+  /// worker_done).
   void publish_recovery(ProcId q, std::int64_t nacks_sent,
-                        std::int64_t resends) override;
-  LightState light(ProcId q) const override;
+                        std::int64_t resends);
+  LightState light(ProcId q) const;
 
-  /// Live mid-run recovery totals mirrored by publish_recovery (distinct
-  /// from worker_counter, which is valid only after worker_done).
   std::int64_t live_nacks(ProcId q) const;
   std::int64_t live_resends(ProcId q) const;
 
-  // Worker/coordinator extras --------------------------------------------
+  // -- worker/coordinator extras -------------------------------------------
+
   /// Worker at clean end: stores its counter block and raises done
   /// (release) so the coordinator's sums are exact.
   void publish_worker_done(ProcId q, const CounterBlock& counters);
@@ -161,12 +263,18 @@ class ShmTransport final : public Transport {
  private:
   struct Layout;
   ShmTransport(ShmSegment seg, ProcId rank);
+  static std::unique_ptr<ShmTransport> init(ShmSegment seg, const Dims& dims,
+                                            const ShmRunSpec& spec);
 
   ShmSegment seg_;
-  ProcId rank_;  // -1 = coordinator
+  ProcId rank_;  // -1 = coordinator / in-proc
   std::unique_ptr<Layout> l_;
-  std::unique_ptr<FutexBell> data_bell_;
-  std::unique_ptr<FutexBell> control_bell_;
+  FutexBell data_bell_;
+  FutexBell control_bell_;
+  /// The monitor's failure text (control slot num_procs), kept whole in
+  /// the creating process. Written once, before that slot's has_error
+  /// release store; read after its acquire load.
+  std::string monitor_text_;
 };
 
 /// Coordinator-side session: the segment plus the worker processes. The

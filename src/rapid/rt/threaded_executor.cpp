@@ -53,7 +53,7 @@ Impl::Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
 /// recompute the CRC only at a put sequence not yet verified or rejected.
 /// Gating on the seq is what makes verification race-free against owner
 /// resends — bytes are only read at a fully published seq, and a NACK for
-/// a rejected seq reaches the owner (through the inbox mutex) strictly
+/// a rejected seq reaches the owner (through the NACK ring lock) strictly
 /// after the reader's byte reads, ordering any retransmit's memcpy after
 /// them.
 inline bool Impl::content_trusted(ProcId q, DataId d, GateRef* gate) {
@@ -226,8 +226,8 @@ class Impl::Resolver final : public ObjectResolver {
 };
 
 /// Process-kill fault hook: rank q SIGKILLs itself at its nth entry into
-/// `phase`. Real process death only — the in-process backend ignores the
-/// plan (a thread cannot fail independently of the run).
+/// `phase`. Real process death only — in-proc runs ignore the plan (a
+/// thread cannot fail independently of the run).
 inline void Impl::maybe_kill(ProcId q, std::int32_t phase) {
   Private& me = priv[q];
   const std::int64_t ordinal = ++me.kill_ordinals[phase];
@@ -372,7 +372,7 @@ void Impl::worker(ProcId q) {
           me.last_rec_pos = me.pos;
           maybe_kill(q, FaultPlan::kKillRec);
         }
-        // Doorbell value read BEFORE the readiness check: an input that
+        // Bell value read BEFORE the readiness check: an input that
         // arrives between the check and the park moves the bell past
         // `seen`, so the park returns immediately instead of sleeping
         // through the wakeup.
@@ -489,7 +489,7 @@ void Impl::reset_run_state() {
 
 /// Points the data plane at `transport`: the bells and the cached window
 /// views of every rank.
-void Impl::attach_transport(Transport& transport) {
+void Impl::attach_transport(ShmTransport& transport) {
   tp = &transport;
   bell = &transport.data_bell();
   control_bell = &transport.control_bell();
@@ -673,9 +673,8 @@ RunReport Impl::run_inproc() {
   RunReport report = begin_run();
   try {
     if (config.audit) verify::audit_or_throw(plan, config);
-    owned_tp = make_inproc_transport(
-        plan.num_procs, plan.graph->num_data(), plan.graph->num_tasks(),
-        config.capacity_per_proc);
+    owned_tp =
+        ShmTransport::create_private(ShmTransport::dims_for(plan, config));
     attach_transport(*owned_tp);
     for (ProcId q = 0; q < plan.num_procs; ++q) {
       setup_proc_state(q, /*install_free_hook=*/true);

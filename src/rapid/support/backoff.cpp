@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <thread>
 
+#include "rapid/support/shm.hpp"
+
 namespace rapid {
 
 std::int64_t RetryPolicy::delay_us(std::int32_t attempt) const {

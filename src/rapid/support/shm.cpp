@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <ctime>
+#include <thread>
 #include <utility>
 
 #include <fcntl.h>
@@ -74,7 +75,8 @@ ShmSegment::ShmSegment(ShmSegment&& other) noexcept
     : name_(std::move(other.name_)),
       data_(other.data_),
       size_(other.size_),
-      owner_(other.owner_) {
+      owner_(other.owner_),
+      shared_(other.shared_) {
   other.data_ = nullptr;
   other.size_ = 0;
   other.owner_ = false;
@@ -87,6 +89,7 @@ ShmSegment& ShmSegment::operator=(ShmSegment&& other) noexcept {
     data_ = other.data_;
     size_ = other.size_;
     owner_ = other.owner_;
+    shared_ = other.shared_;
     other.data_ = nullptr;
     other.size_ = 0;
     other.owner_ = false;
@@ -127,6 +130,7 @@ ShmSegment ShmSegment::create(const std::string& name, std::int64_t bytes) {
   seg.data_ = static_cast<std::byte*>(p);
   seg.size_ = bytes;
   seg.owner_ = true;
+  seg.shared_ = true;
   return seg;
 }
 
@@ -147,6 +151,21 @@ ShmSegment ShmSegment::attach(const std::string& name) {
   seg.data_ = static_cast<std::byte*>(p);
   seg.size_ = static_cast<std::int64_t>(st.st_size);
   seg.owner_ = false;
+  seg.shared_ = true;
+  return seg;
+}
+
+ShmSegment ShmSegment::anonymous(std::int64_t bytes) {
+  void* p = ::mmap(nullptr, static_cast<std::size_t>(bytes),
+                   PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                   0);
+  if (p == MAP_FAILED) {
+    throw Error(cat("shm: anonymous mmap of ", bytes,
+                    " bytes failed: ", std::strerror(errno)));
+  }
+  ShmSegment seg;
+  seg.data_ = static_cast<std::byte*>(p);
+  seg.size_ = bytes;
   return seg;
 }
 
@@ -179,9 +198,10 @@ bool ShmSpinLock::acquire(std::atomic<std::uint32_t>& lock,
       return true;
     }
     cpu_relax();
-    if ((spins & 1023) == 1023 &&
-        abort_flag.load(std::memory_order_acquire) != 0) {
-      return false;
+    if ((spins & 63) == 63) {
+      // Thread ranks may share a CPU with a preempted holder: let it run.
+      std::this_thread::yield();
+      if (abort_flag.load(std::memory_order_acquire) != 0) return false;
     }
   }
 }

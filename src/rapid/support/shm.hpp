@@ -1,10 +1,11 @@
-// POSIX shared-memory plumbing for the cross-process transport backend:
-// a named segment wrapper (shm_open + ftruncate + mmap MAP_SHARED), a
-// futex-backed Bell whose state lives inside the segment, and a tiny
-// spinlock that survives a SIGKILLed holder by bailing out when the run's
-// abort flag rises. Everything here is offset/POD based — the segment is
-// mapped at different addresses in every process, so no pointer ever
-// crosses a process boundary.
+// Shared-memory plumbing for the one transport: a segment wrapper (a named
+// POSIX segment — shm_open + ftruncate + mmap MAP_SHARED — for forked or
+// exec'd ranks, or a private anonymous mapping for ranks that are threads),
+// the futex-backed progress bell whose state lives inside the segment, and
+// a tiny spinlock that survives a SIGKILLed holder by bailing out when the
+// run's abort flag rises. Everything here is offset/POD based — a named
+// segment is mapped at different addresses in every process, so no
+// pointer ever crosses a process boundary.
 #pragma once
 
 #include <atomic>
@@ -15,12 +16,14 @@
 
 namespace rapid {
 
-/// A named POSIX shared-memory segment. The creating (coordinator) process
-/// owns the name: its destructor unlinks it. Attaching processes map the
-/// existing segment and only unmap on destruction. Mappings are
-/// MAP_SHARED, so plain std::atomic objects placement-new'd into the
-/// segment give real cross-process ordering on every platform we target
-/// (all lock-free, address-free atomics).
+/// A memory segment holding the transport layout. A named segment is a
+/// POSIX shared-memory object: the creating (coordinator) process owns the
+/// name and its destructor unlinks it; attaching processes map the existing
+/// segment and only unmap on destruction. Named mappings are MAP_SHARED, so
+/// plain std::atomic objects placement-new'd into the segment give real
+/// cross-process ordering on every platform we target (all lock-free,
+/// address-free atomics). An anonymous segment is a private mapping for
+/// ranks that are threads of one process.
 class ShmSegment {
  public:
   ShmSegment() = default;
@@ -37,10 +40,19 @@ class ShmSegment {
   /// Maps an existing segment created by another process.
   static ShmSegment attach(const std::string& name);
 
+  /// A private anonymous mapping (MAP_PRIVATE | MAP_ANONYMOUS) of `bytes`
+  /// bytes. Pages are zero on first touch and only touched pages count
+  /// toward RSS. The mapping is charged against the commit limit (no
+  /// MAP_NORESERVE), so an absurd size throws rapid::Error here instead
+  /// of faulting later.
+  static ShmSegment anonymous(std::int64_t bytes);
+
   std::byte* data() const { return data_; }
   std::int64_t size() const { return size_; }
   const std::string& name() const { return name_; }
   bool valid() const { return data_ != nullptr; }
+  /// True for a named segment other processes can map (create/attach).
+  bool shared() const { return shared_; }
 
   /// Unmaps (and unlinks, if owner) early; the destructor is then a no-op.
   void close();
@@ -50,12 +62,13 @@ class ShmSegment {
   std::byte* data_ = nullptr;
   std::int64_t size_ = 0;
   bool owner_ = false;
+  bool shared_ = false;
 };
 
-/// Bell state embedded in a shared segment. `count` is the progress
-/// counter (the doorbell value); `word` is the 32-bit futex cell (a
-/// truncated shadow of count — only inequality matters); `sleepers` gates
-/// the wake syscall exactly like Doorbell's condvar path.
+/// Bell state embedded in a segment. `count` is the progress counter (the
+/// bell value); `word` is the 32-bit futex cell (a truncated shadow of
+/// count — only inequality matters); `sleepers` gates the wake syscall so
+/// a ring with nobody parked costs two atomic increments and a load.
 struct ShmBellState {
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint32_t> word{0};
@@ -64,23 +77,33 @@ struct ShmBellState {
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
 static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
 
-/// Futex-backed Bell over segment-resident state. Same handshake contract
-/// as Doorbell: ring() bumps count and word with seq_cst so it cannot
-/// reorder against a waiter's (register-sleeper, re-check-count) pair;
+/// The progress bell: a monotonically increasing event counter over
+/// segment-resident state, with a futex to park on. ring() bumps count and
+/// word with seq_cst so it cannot reorder against a waiter's
+/// (register-sleeper, re-check-count) pair: either the waiter sees the new
+/// count and skips the park, or the ring sees the sleeper and wakes it.
 /// wait() re-checks the counter after registering as a sleeper and before
 /// the kernel wait, so a ring between the caller's predicate check and the
-/// park is never lost (the futex compare re-checks `word` atomically in
-/// the kernel).
-class FutexBell final : public Bell {
+/// park is never lost as long as `seen` was read *before* the predicate
+/// (the futex compare re-checks `word` atomically in the kernel; see
+/// docs/RUNTIME.md, "Bell handshake"). Works on shared and private
+/// mappings alike.
+class FutexBell {
  public:
   explicit FutexBell(ShmBellState* s) : s_(s) {}
 
-  std::uint64_t value() const override {
+  std::uint64_t value() const {
     return s_->count.load(std::memory_order_acquire);
   }
 
-  void ring() override;
-  bool wait(std::uint64_t seen, std::int64_t timeout_us) override;
+  /// Publishes one unit of progress and wakes any sleepers.
+  void ring();
+  /// Parks until value() != seen, `timeout_us` elapses, or a spurious
+  /// wakeup. Callers re-check their own predicate afterwards regardless.
+  /// Returns whether the counter moved past `seen` (the wakeup carried
+  /// progress) — false means a pure timeout/spurious wakeup, which the
+  /// stall diagnostics count separately from productive rings.
+  bool wait(std::uint64_t seen, std::int64_t timeout_us);
 
  private:
   ShmBellState* s_;
@@ -91,7 +114,9 @@ class FutexBell final : public Bell {
 /// is taken; acquire() therefore periodically checks the run's abort flag
 /// and gives up (returns false) once the coordinator has declared the run
 /// dead, so no survivor can wedge on a corpse's lock. There is no
-/// ownership recovery — the protocol is fail-stop past that point.
+/// ownership recovery — the protocol is fail-stop past that point. The
+/// same periodic check yields the CPU, so a thread rank never spins out a
+/// time slice behind a preempted holder on its own CPU.
 class ShmSpinLock {
  public:
   /// Returns false iff the abort flag rose while spinning.

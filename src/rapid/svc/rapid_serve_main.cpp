@@ -6,7 +6,7 @@
 // deadlines, backpressure and fault containment without writing C++.
 //
 //   echo "grid:rows=8,cols=8,procs=4 capacity=4096" | ./rapid_serve
-//   ./rapid_serve --runs=mix.txt --budget=$((64<<20)) --workers=4 \
+//   ./rapid_serve --runs=mix.txt --budget=$((64<<20)) --workers=4
 //                 --json=service_report.json --report-dir=reports/
 //
 // Line grammar (after the workload spec, any order):
@@ -21,10 +21,14 @@
 //   active=<0|1>         paper's active memory      (default 1)
 //   slab=<0|1>           slab arena fast path       (default 0)
 //
+// Every line is parsed before the first run is submitted, and numbers
+// parse strictly (support/str.hpp parse_number), so a malformed line exits
+// 2 naming the line and the key without having run anything.
+//
 // Exit codes (support/exit_codes.hpp): 0 every run completed with clean
 // numerics; 1 findings (a run failed, was rejected, shed, expired, or
 // finished inexact); 2 infrastructure error (bad flags, unreadable input,
-// unexpected exception).
+// a malformed run line, unexpected exception).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -47,48 +51,50 @@ namespace {
 
 using namespace rapid;
 
-/// Parses one input line into a RunRequest. Throws rapid::Error on a
-/// malformed key (the caller converts that into an infra error — the line
-/// never reached the service).
-svc::RunRequest parse_line(const std::string& line) {
+/// Parses input line `line_no` into a RunRequest. Throws rapid::Error
+/// naming the line on a malformed token (the caller converts that into an
+/// infra error — no run has been submitted yet).
+svc::RunRequest parse_line(const std::string& line, std::int64_t line_no) {
+  const std::string where = cat("run line ", line_no);
   std::istringstream in(line);
   svc::RunRequest req;
   in >> req.spec;
-  RAPID_CHECK(!req.spec.empty(), "empty run line");
   req.config.capacity_per_proc = 1 << 20;
   std::string token;
   std::string fault_preset;
   std::uint64_t fault_seed = 1;
   while (in >> token) {
     const std::size_t eq = token.find('=');
-    RAPID_CHECK(eq != std::string::npos,
-                cat("run line: expected key=value, got \"", token, "\""));
+    if (eq == std::string::npos) {
+      throw Error(cat(where, ": expected key=value, got \"", token, "\""));
+    }
     const std::string key = token.substr(0, eq);
     const std::string val = token.substr(eq + 1);
     if (key == "capacity") {
-      req.config.capacity_per_proc = std::stoll(val);
+      req.config.capacity_per_proc =
+          parse_number<std::int64_t>(where, key, val);
     } else if (key == "deadline_us") {
-      req.deadline_us = std::stoll(val);
+      req.deadline_us = parse_number<std::int64_t>(where, key, val);
     } else if (key == "priority") {
-      req.priority = static_cast<std::int32_t>(std::stoll(val));
+      req.priority = parse_number<std::int32_t>(where, key, val);
     } else if (key == "attempts") {
-      req.recovery.max_run_attempts = static_cast<std::int32_t>(
-          std::stoll(val));
+      req.recovery.max_run_attempts =
+          parse_number<std::int32_t>(where, key, val);
     } else if (key == "backoff_us") {
-      req.recovery.restart_backoff_us = std::stoll(val);
+      req.recovery.restart_backoff_us =
+          parse_number<std::int64_t>(where, key, val);
     } else if (key == "faults") {
       fault_preset = val;
     } else if (key == "seed") {
-      fault_seed = static_cast<std::uint64_t>(std::stoll(val));
+      fault_seed = parse_number<std::uint64_t>(where, key, val);
     } else if (key == "kernel") {
-      req.config.kernel_dispatch = static_cast<std::int32_t>(
-          std::stoll(val));
+      req.config.kernel_dispatch = parse_number<std::int32_t>(where, key, val);
     } else if (key == "active") {
-      req.config.active_memory = std::stoll(val) != 0;
+      req.config.active_memory = parse_number<int>(where, key, val) != 0;
     } else if (key == "slab") {
-      req.config.slab_arena = std::stoll(val) != 0;
+      req.config.slab_arena = parse_number<int>(where, key, val) != 0;
     } else {
-      RAPID_FAIL(cat("run line: unknown key \"", key, "\""));
+      throw Error(cat(where, ": unknown key \"", key, "\""));
     }
   }
   if (!fault_preset.empty()) {
@@ -138,6 +144,14 @@ int main(int argc, char** argv) {
       in = &file;
     }
 
+    std::vector<svc::RunRequest> requests;
+    std::string line;
+    for (std::int64_t line_no = 1; std::getline(*in, line); ++line_no) {
+      const std::size_t start = line.find_first_not_of(" \t");
+      if (start == std::string::npos || line[start] == '#') continue;
+      requests.push_back(parse_line(line, line_no));
+    }
+
     svc::ServiceOptions sopts;
     sopts.budget_bytes = flags.get_int("budget");
     sopts.workers = static_cast<std::int32_t>(flags.get_int("workers"));
@@ -166,12 +180,9 @@ int main(int argc, char** argv) {
       sampler->start();
     }
 
-    std::string line;
     std::vector<std::int64_t> ids;
-    while (std::getline(*in, line)) {
-      const std::size_t start = line.find_first_not_of(" \t");
-      if (start == std::string::npos || line[start] == '#') continue;
-      ids.push_back(service.submit(parse_line(line)));
+    for (svc::RunRequest& req : requests) {
+      ids.push_back(service.submit(std::move(req)));
     }
 
     bool findings = false;

@@ -441,10 +441,6 @@ void RuntimeService::execute(RunRecord& record, Pending pending) {
   }
   rt::RunRecoveryOptions ropts = req.recovery;
   ropts.capture_failure = true;
-  if (remaining_us > 0 && (ropts.attempt_deadline_us <= 0 ||
-                           ropts.attempt_deadline_us > remaining_us)) {
-    ropts.attempt_deadline_us = remaining_us;
-  }
 
   const num::ShmWorkload& workload = *pending.plan->workload;
   try {

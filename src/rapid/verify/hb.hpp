@@ -11,11 +11,11 @@
 //   pkg send → install     the address-package mailbox handoff
 //   flag send → task begin the completion flag's release store gating the
 //                          first remote-sync successor on the reader
-//   NACK → resend          the re-request inbox mutex ordering a waiter's
+//   NACK → resend          the re-request ring's lock ordering a waiter's
 //                          request before the owner's retransmit
 //
-// Doorbell signal→wake edges carry no extra ordering here: every ring of
-// the data-plane doorbell accompanies one of the protocol events above, so
+// Bell signal→wake edges carry no extra ordering here: every ring of the
+// data-plane bell accompanies one of the protocol events above, so
 // the wakeup chain is subsumed by these edges, and the handshake itself is
 // model-checked exhaustively by verify/litmus.hpp instead. Plan dependences
 // need no edges of their own either — a same-processor dependence is ring

@@ -370,7 +370,7 @@ LitmusResult run_litmus(const LitmusProgram& program) {
 }
 
 LitmusProgram doorbell_handshake(int weaken) {
-  // vars: 0 = count_, 1 = sleepers_ (support/backoff.hpp Doorbell).
+  // vars: 0 = count, 1 = sleepers (support/shm.hpp ShmBellState).
   constexpr std::int32_t kCount = 0, kSleepers = 1;
   LitmusProgram p;
   p.var_names = {"count", "sleepers"};
@@ -386,7 +386,7 @@ LitmusProgram doorbell_handshake(int weaken) {
   if (weaken == 1) {
     p.name = "doorbell-weak-signal";
     p.description =
-        "Doorbell with the ringer's count++ demoted to a relaxed "
+        "Bell with the ringer's count++ demoted to a relaxed "
         "load;store — the buffered count store lets the ringer read "
         "sleepers==0 while the waiter reads the stale count (Dekker "
         "store->load reordering): lost wakeup";
@@ -410,7 +410,7 @@ LitmusProgram doorbell_handshake(int weaken) {
   if (weaken == 2) {
     p.name = "doorbell-weak-register";
     p.description =
-        "Doorbell with the waiter's sleepers++ demoted to a relaxed "
+        "Bell with the waiter's sleepers++ demoted to a relaxed "
         "load;store — the ringer reads sleepers==0 before the waiter's "
         "buffered registration flushes, the waiter re-checks the stale "
         "count and parks: lost wakeup (the symmetric Dekker loss)";
@@ -434,8 +434,8 @@ LitmusProgram doorbell_handshake(int weaken) {
   if (weaken == 0) {
     p.name = "doorbell-strong";
     p.description =
-        "Doorbell as shipped: seq_cst count++ / sleepers++ on both sides "
-        "with the mutex-protected recheck — the ringer sees the "
+        "Bell as shipped: seq_cst count++ / sleepers++ on both sides "
+        "with the recheck atomic with the park — the ringer sees the "
         "registration or the waiter sees the new count, never neither";
   }
   p.threads = {std::move(ringer), std::move(waiter)};

@@ -1,13 +1,14 @@
 // Bounded model checker for the runtime's lock-free primitives. The
 // threaded executor's ordering argument (docs/RUNTIME.md) rests on three
-// tiny state machines: the Doorbell signal/wait handshake (support/
-// backoff.hpp), the single-slot address-package mailbox with its lock-free
-// pending flag, and the content put's crc → version → put_seq release
-// chain. This checker validates those arguments mechanically instead of by
-// prose: each primitive is encoded as a litmus program over a small shared
-// memory, and a DFS enumerates EVERY interleaving under an operational
-// weak-memory model, flagging lost wakeups (deadlock with a parked thread)
-// and torn publications (a final state violating the program's predicate).
+// tiny state machines: the progress bell's signal/wait handshake
+// (support/shm.hpp FutexBell), the single-slot address-package mailbox
+// with its lock-free pending flag, and the content put's crc → version →
+// put_seq release chain. This checker validates those arguments
+// mechanically instead of by prose: each primitive is encoded as a litmus
+// program over a small shared memory, and a DFS enumerates EVERY
+// interleaving under an operational weak-memory model, flagging lost
+// wakeups (deadlock with a parked thread) and torn publications (a final
+// state violating the program's predicate).
 //
 // The memory model is a per-thread pending-store set, deliberately weaker
 // than TSO where the C++ model is weaker:
@@ -22,10 +23,12 @@
 //     weakenings under test are on the store side);
 //   - mutex lock/unlock and condvar wait/notify are modeled with unlock
 //     (and the wait's implicit unlock) flushing the buffer; the weakened
-//     behaviors under test all live OUTSIDE critical sections.
-// Spurious condvar wakeups and the Doorbell's wait_for timeout are not
-// modeled: the timeout is the engineering fallback for exactly the lost
-// wakeup this checker proves impossible in the strong variants.
+//     behaviors under test all live OUTSIDE critical sections. The bell's
+//     futex compare-and-sleep (the kernel re-checks the word under its
+//     bucket lock) and the transport's spinlocks are modeled this way.
+// Spurious wakeups and the bell's park timeout are not modeled: the
+// timeout is the engineering fallback for exactly the lost wakeup this
+// checker proves impossible in the strong variants.
 //
 // Each primitive has a strong variant (the shipped orderings — must verify
 // CLEAN) and weakened variants (one ordering dropped — the checker must
@@ -112,9 +115,10 @@ struct LitmusResult {
 /// bounded by a visited set over full machine states.
 LitmusResult run_litmus(const LitmusProgram& program);
 
-/// The Doorbell signal/wait handshake (support/backoff.hpp): one ringer
-/// (count++; if sleepers != 0 notify) against one waiter (sleepers++;
-/// recheck count under the lock; park). `weaken` picks the variant:
+/// The bell's signal/wait handshake (support/shm.hpp FutexBell): one
+/// ringer (count++; if sleepers != 0 wake) against one waiter (sleepers++;
+/// recheck count atomically with the park, as the futex does). `weaken`
+/// picks the variant:
 ///   0  shipped orderings — both increments seq_cst RMWs (expect clean)
 ///   1  ringer's count++ weakened to a relaxed load;store (expect a lost
 ///      wakeup: the store→load reorder lets the ringer miss the sleeper)

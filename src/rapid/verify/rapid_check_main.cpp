@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
                "run with the slab-backed arena fast path (the conformance "
                "replay matches the flag)");
   flags.define("litmus", "true",
-               "model-check the Doorbell/mailbox/publication primitives");
+               "model-check the bell/mailbox/publication primitives");
   flags.define("litmus-only", "false", "skip the trace runs entirely");
   flags.define("strict", "false", "exit non-zero on warnings too");
   flags.define("json", "", "write the findings as JSON to this path");

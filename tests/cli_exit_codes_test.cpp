@@ -125,6 +125,45 @@ TEST(CliExitCodes, ServeDistinguishesFindingsFromInfraError) {
             kExitInfraError);
 }
 
+TEST(CliExitCodes, ServeRejectsMalformedRequestNumbersBeforeRunning) {
+  const std::string bin = binary("src/rapid/svc/rapid_serve");
+  if (bin.empty()) GTEST_SKIP() << "rapid_serve not built";
+  const std::string dir = ::testing::TempDir();
+  // Request-line numbers parse as whole tokens: a trailing character, a
+  // word, or an out-of-range value is an infrastructure error that names
+  // the line and the key, and no run of the batch is submitted — not even
+  // the good line before it.
+  const struct {
+    const char* tokens;
+    const char* names;
+  } cases[] = {
+      {"capacity=4096x", "run line 2: capacity=4096x is not a number"},
+      {"priority=high", "run line 2: priority=high is not a number"},
+      {"priority=99999999999", "run line 2: priority=99999999999 is out of "
+                               "range"},
+      {"active=1.0", "run line 2: active=1.0 is not a number"},
+  };
+  for (const auto& c : cases) {
+    const std::string runs = dir + "/serve_bad_number.runs";
+    const std::string out = dir + "/serve_bad_number.out";
+    const std::string err = dir + "/serve_bad_number.err";
+    std::ofstream(runs) << "grid:rows=6,cols=6,procs=4\n"
+                        << "grid:rows=6,cols=6,procs=4 " << c.tokens << "\n";
+    const int status = std::system(
+        (bin + " --runs=" + runs + " >" + out + " 2>" + err).c_str());
+    ASSERT_TRUE(status != -1 && WIFEXITED(status)) << c.tokens;
+    EXPECT_EQ(WEXITSTATUS(status), kExitInfraError) << c.tokens;
+    std::ifstream err_in(err);
+    const std::string err_text((std::istreambuf_iterator<char>(err_in)),
+                               std::istreambuf_iterator<char>());
+    EXPECT_NE(err_text.find(c.names), std::string::npos) << err_text;
+    std::ifstream out_in(out);
+    const std::string out_text((std::istreambuf_iterator<char>(out_in)),
+                               std::istreambuf_iterator<char>());
+    EXPECT_EQ(out_text, "") << c.tokens;
+  }
+}
+
 TEST(CliExitCodes, ServeMetricsWriteFailureDegradesNotDies) {
   const std::string bin = binary("src/rapid/svc/rapid_serve");
   if (bin.empty()) GTEST_SKIP() << "rapid_serve not built";

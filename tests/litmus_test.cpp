@@ -2,7 +2,7 @@
 // primitives (verify/litmus.hpp). Two directions, both load-bearing:
 //
 //   1. The STRONG variants — the orderings the threaded executor actually
-//      ships (Doorbell seq_cst handshake, mailbox pending-flag reset inside
+//      ships (bell seq_cst handshake, mailbox pending-flag reset inside
 //      the critical section, crc→version→put_seq release chain) — must
 //      verify CLEAN over every interleaving. This replaces the prose-only
 //      ordering argument in docs/RUNTIME.md with a mechanical one.

@@ -422,6 +422,10 @@ TEST(ShmRecovery, ExhaustionAfterFirstDiagnosisEscalates) {
     } catch (const ProtocolDeadlockError& e) {
       ASSERT_NE(e.report(), nullptr) << to_string(kind) << ": " << e.what();
       EXPECT_TRUE(e.report()->retries_exhausted) << to_string(kind);
+      // The monitor's text is never cut to a fixed-size segment slot.
+      EXPECT_NE(std::string(e.what()).find(e.report()->summary()),
+                std::string::npos)
+          << to_string(kind) << ": " << e.what();
     }
     EXPECT_LT(elapsed.seconds(), 3.0) << to_string(kind);
     EXPECT_EQ(exec.last_report().failure_kind,

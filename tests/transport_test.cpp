@@ -1,15 +1,20 @@
-// The transport seam, in-process backend. Two claims: (1) the Transport
-// interface's primitive semantics — publication ordering, mailbox bounds,
-// NACK channel, control plane — behave per docs/TRANSPORT.md; (2) routing
-// the threaded executor's data plane through the seam changed nothing: on
-// seed workloads the counters (messages, bytes, put batches) match the
-// SimExecutor oracle / stay deterministic exactly as they did before the
-// transport existed.
+// The one transport as in-proc runs build it: the shm segment layout in a
+// private anonymous mapping, ranks as threads. Two claims: (1) the
+// transport's primitive semantics — publication ordering, mailbox bounds,
+// NACK channel, control plane — behave per docs/TRANSPORT.md; (2) running
+// the threaded executor's data plane on it changed nothing: on seed
+// workloads the counters (messages, bytes, put batches) match the
+// SimExecutor oracle / stay deterministic.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include "counter_app.hpp"
+#include "rapid/rt/shm_transport.hpp"
 #include "rapid/rt/sim_executor.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/rt/transport.hpp"
@@ -22,6 +27,21 @@ namespace {
 using testing::CounterApp;
 using testing::GridApp;
 
+/// A private-mapping transport whose mailbox slots hold packages of up to
+/// `num_data` entries.
+std::unique_ptr<ShmTransport> make_private(std::int32_t num_procs,
+                                           std::int64_t num_data,
+                                           std::int64_t num_tasks,
+                                           std::int64_t heap_bytes_per_proc) {
+  ShmTransport::Dims dims;
+  dims.num_procs = num_procs;
+  dims.num_data = num_data;
+  dims.num_tasks = num_tasks;
+  dims.heap_bytes = heap_bytes_per_proc;
+  dims.max_pkg_entries = num_data;
+  return ShmTransport::create_private(dims);
+}
+
 TEST(TransportKindStrings, RoundTripAndRejects) {
   EXPECT_STREQ(to_string(TransportKind::kInProc), "inproc");
   EXPECT_STREQ(to_string(TransportKind::kShm), "shm");
@@ -31,9 +51,8 @@ TEST(TransportKindStrings, RoundTripAndRejects) {
 }
 
 TEST(InProcTransport, PublishOrderingAndFlagVisibility) {
-  auto tp = make_inproc_transport(/*num_procs=*/2, /*num_data=*/3,
-                                  /*num_tasks=*/2,
-                                  /*heap_bytes_per_proc=*/256);
+  auto tp = make_private(/*num_procs=*/2, /*num_data=*/3, /*num_tasks=*/2,
+                         /*heap_bytes_per_proc=*/256);
   ASSERT_EQ(tp->num_procs(), 2);
   EXPECT_EQ(tp->kind(), TransportKind::kInProc);
   EXPECT_FALSE(tp->cross_process());
@@ -62,7 +81,7 @@ TEST(InProcTransport, PublishOrderingAndFlagVisibility) {
 }
 
 TEST(InProcTransport, MailboxBoundCopiesAndDrainOrder) {
-  auto tp = make_inproc_transport(2, 4, 4, 64);
+  auto tp = make_private(2, 4, 4, 64);
   AddrPackage pkg;
   pkg.reader = 0;
   pkg.entries = {{0, 8}, {1, 16}};
@@ -90,7 +109,7 @@ TEST(InProcTransport, MailboxBoundCopiesAndDrainOrder) {
 }
 
 TEST(InProcTransport, NackChannel) {
-  auto tp = make_inproc_transport(2, 4, 4, 64);
+  auto tp = make_private(2, 4, 4, 64);
   EXPECT_FALSE(tp->nacks_pending(0));
   NackRequest n;
   n.requester = 1;
@@ -111,7 +130,7 @@ TEST(InProcTransport, NackChannel) {
 }
 
 TEST(InProcTransport, ControlPlaneQuiescenceAbortFailures) {
-  auto tp = make_inproc_transport(3, 2, 2, 64);
+  auto tp = make_private(3, 2, 2, 64);
   EXPECT_EQ(tp->quiescent_count(), 0);
   EXPECT_EQ(tp->note_quiescent(0), 1);
   EXPECT_EQ(tp->note_quiescent(1), 2);
@@ -132,18 +151,88 @@ TEST(InProcTransport, ControlPlaneQuiescenceAbortFailures) {
 }
 
 TEST(InProcTransport, BeatsFeedLightState) {
-  auto tp = make_inproc_transport(2, 2, 2, 64);
+  auto tp = make_private(2, 2, 2, 64);
   tp->beat(1, /*state=*/3, /*pos=*/17);
-  // In-process, beat_wait is deliberately a no-op: the monitor diagnoses
-  // stalls from full cooperative snapshots, and light() carries only the
-  // state/pos the pre-transport LightStatus did. The wait fields are
-  // meaningful on the shm backend (shm_transport_test covers them).
+  // On a private mapping beat_wait is deliberately a no-op and beat stamps
+  // no lease: the monitor diagnoses stalls from full cooperative
+  // snapshots, and light() carries only state/pos. The wait fields are
+  // meaningful on a shared segment (shm_transport_test covers them).
   tp->beat_wait(1, /*object=*/1, /*version=*/4, /*flag=*/graph::kInvalidTask,
                 /*map_dest=*/graph::kInvalidProc, /*retry_attempts=*/2,
                 /*exhausted=*/false);
   const LightState l = tp->light(1);
   EXPECT_EQ(l.state, 3);
   EXPECT_EQ(l.pos, 17);
+}
+
+// The monitor's failure text (deadlock, watchdog, exhaustion, cancel, proc
+// failure) stays whole in the creating process; only a rank's text is cut
+// to its fixed-size control slot.
+TEST(OneTransport, MonitorFailureTextStaysWhole) {
+  auto tp = make_private(2, 2, 2, 64);
+  const std::string monitor(2000, 'm');
+  const std::string rank(2000, 'r');
+  tp->report_failure(graph::kInvalidProc, FailureKind::kDeadlock, monitor);
+  tp->report_failure(1, FailureKind::kTaskError, rank);
+  EXPECT_EQ(tp->first_failure_kind(), FailureKind::kDeadlock);
+  const std::vector<std::string> texts = tp->failure_texts();
+  ASSERT_EQ(texts.size(), 2u);
+  EXPECT_EQ(texts[0], monitor);
+  EXPECT_LT(texts[1].size(), rank.size());
+  EXPECT_EQ(texts[1], rank.substr(0, texts[1].size()));
+}
+
+// Mailbox slots are sized from the plan: the largest package one reader
+// sends one owner. A package that does not fit its slot is refused loudly
+// rather than written past the slot.
+TEST(OneTransport, MailboxSlotsSizedFromPlan) {
+  GridApp app(/*rows=*/5, /*cols=*/4, /*procs=*/4);
+  RunConfig config;
+  config.capacity_per_proc =
+      sched::analyze_liveness(app.graph, app.schedule).min_mem();
+  const ShmTransport::Dims dims = ShmTransport::dims_for(app.plan, config);
+  EXPECT_GT(dims.max_pkg_entries, 0);
+  EXPECT_LT(dims.max_pkg_entries, dims.num_data);
+  auto tp = ShmTransport::create_private(dims);
+  AddrPackage pkg;
+  pkg.reader = 0;
+  for (std::int64_t i = 0; i < dims.max_pkg_entries; ++i) {
+    pkg.entries.emplace_back(static_cast<DataId>(i), 8 * i);
+  }
+  EXPECT_TRUE(tp->try_send_addr_package(0, 1, pkg, 1, 1));
+  pkg.entries.emplace_back(0, 0);
+  EXPECT_THROW(tp->try_send_addr_package(0, 2, pkg, 1, 1), Error);
+}
+
+// The private mapping is charged against the commit limit, so a capacity
+// no machine can map fails at setup with rapid::Error (2 x 2^50 bytes is
+// past the x86-64 user address space whatever the overcommit policy).
+TEST(OneTransport, AbsurdCapacityFailsAtSetup) {
+  EXPECT_THROW(make_private(2, 2, 2, std::int64_t{1} << 50), Error);
+}
+
+// A private window is not zero-filled up front: its pages stay unmapped
+// until a rank writes them, so a run pays only for the bytes it touches.
+TEST(OneTransport, PrivateWindowsAreNotPrefaulted) {
+  const std::int64_t heap = 8 << 20;
+  auto tp = make_private(2, 2, 2, heap);
+  const auto page = static_cast<std::int64_t>(::sysconf(_SC_PAGESIZE));
+  std::byte* const begin = tp->window(1).heap;
+  const auto first = (reinterpret_cast<std::intptr_t>(begin) + page - 1) /
+                     page * page;
+  const std::int64_t pages = (heap - page) / page;
+  auto resident = [&] {
+    std::vector<unsigned char> vec(static_cast<std::size_t>(pages));
+    EXPECT_EQ(::mincore(reinterpret_cast<void*>(first),
+                        static_cast<std::size_t>(pages * page), vec.data()),
+              0);
+    std::int64_t n = 0;
+    for (const unsigned char v : vec) n += v & 1;
+    return n;
+  };
+  EXPECT_EQ(resident(), 0);
+  reinterpret_cast<volatile char*>(first)[3 * page] = 1;
+  EXPECT_EQ(resident(), 1);
 }
 
 // ---- counter identity ------------------------------------------------------
