@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <latch>
 #include <limits>
 #include <set>
+#include <string_view>
+#include <thread>
+#include <vector>
 
+#include "rapid/rt/map_engine.hpp"
 #include "rapid/support/check.hpp"
+#include "rapid/support/checksum.hpp"
 #include "rapid/support/flags.hpp"
 #include "rapid/support/json.hpp"
 #include "rapid/support/log.hpp"
@@ -271,6 +279,142 @@ TEST(Log, ThreadProcTagIsPerThread) {
   EXPECT_EQ(log_thread_proc(), 3);
   set_log_thread_proc(-1);
   EXPECT_EQ(log_thread_proc(), -1);
+}
+
+std::span<const std::byte> bytes_of(std::string_view s) {
+  return std::as_bytes(std::span(s.data(), s.size()));
+}
+
+std::vector<std::byte> random_bytes(Rng& rng, std::size_t n) {
+  std::vector<std::byte> out(n);
+  for (auto& b : out) b = static_cast<std::byte>(rng.next_u64());
+  return out;
+}
+
+TEST(Crc32c, KnownVectors) {
+  std::array<std::byte, 32> zeros{};
+  std::array<std::byte, 32> ones;
+  std::array<std::byte, 32> ascending;
+  std::array<std::byte, 32> descending;
+  for (std::size_t i = 0; i < 32; ++i) {
+    ones[i] = std::byte{0xFF};
+    ascending[i] = static_cast<std::byte>(i);
+    descending[i] = static_cast<std::byte>(31 - i);
+  }
+  // The check value of the CRC catalogue, then RFC 3720 section B.4.
+  for (auto* crc : {&crc32c, &detail::crc32c_portable}) {
+    EXPECT_EQ((*crc)(bytes_of("123456789"), 0), 0xE3069283u);
+    EXPECT_EQ((*crc)(zeros, 0), 0x8A9136AAu);
+    EXPECT_EQ((*crc)(ones, 0), 0x62A8AB43u);
+    EXPECT_EQ((*crc)(ascending, 0), 0x46DD794Eu);
+    EXPECT_EQ((*crc)(descending, 0), 0x113FDB5Cu);
+    EXPECT_EQ((*crc)({}, 0), 0u);
+  }
+}
+
+// The dispatched path against the table oracle, bit for bit: every length
+// up to 1 KB, both sides of each three-stream round, and seeded random
+// (length, start misalignment, seed) cases up to three rounds.
+TEST(Crc32c, DispatchedPathMatchesPortableOracle) {
+  constexpr std::size_t kLong = 3 * 4096;
+  constexpr std::size_t kMax = 3 * kLong + 64;
+  Rng rng(0xC3C32u);
+  const std::vector<std::byte> buf = random_bytes(rng, 64 + kMax);
+  auto check = [&](std::size_t len, std::size_t misalign, std::uint32_t seed) {
+    const std::span<const std::byte> b(buf.data() + misalign, len);
+    ASSERT_EQ(crc32c(b, seed), detail::crc32c_portable(b, seed))
+        << "len " << len << " misalign " << misalign << " seed " << seed;
+  };
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    check(len, len % 64, static_cast<std::uint32_t>(rng.next_u64()));
+  }
+  for (std::size_t rounds = 1; rounds <= 3; ++rounds) {
+    for (std::size_t d = 0; d < 24; ++d) {
+      check(rounds * kLong + d - 12, d % 64, 0);
+      check(rounds * kLong + kLong / 2 + d - 12, 63 - d, 0xFFFFFFFFu);
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    // Every tail length 0-7 and every misalignment 0-63 appears.
+    const std::size_t len = rng.next_below(kMax / 8) * 8 + i % 8;
+    check(len, (i * 7) % 64, static_cast<std::uint32_t>(rng.next_u64()));
+  }
+}
+
+TEST(Crc32c, ChainsAcrossRandomSplits) {
+  Rng rng(7);
+  const std::vector<std::byte> buf = random_bytes(rng, 3 * 3 * 4096 + 100);
+  const std::span<const std::byte> all(buf);
+  for (int i = 0; i < 500; ++i) {
+    const std::size_t len = rng.next_below(all.size() + 1);
+    const std::size_t cut = rng.next_below(len + 1);
+    const std::span<const std::byte> b = all.first(len);
+    const std::uint32_t whole = crc32c(b);
+    ASSERT_EQ(whole, crc32c(b.subspan(cut), crc32c(b.first(cut))))
+        << "len " << len << " cut " << cut;
+    ASSERT_EQ(whole, detail::crc32c_portable(b.subspan(cut),
+                                             detail::crc32c_portable(
+                                                 b.first(cut))));
+  }
+}
+
+TEST(Crc32c, U64FoldEqualsByteDigest) {
+  Rng rng(11);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t value = rng.next_u64();
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    std::array<std::byte, 8> bytes;
+    std::memcpy(bytes.data(), &value, 8);
+    ASSERT_EQ(crc32c_u64(value, seed), detail::crc32c_portable(bytes, seed));
+  }
+}
+
+// Address packages are folded field by field; their digest must not depend
+// on which path computed it, so a package checked by another build verifies.
+TEST(Crc32c, AddrPackageDigestMatchesPortableFold) {
+  rt::AddrPackage pkg;
+  pkg.reader = 3;
+  pkg.seq = 42;
+  pkg.entries = {{7, 0}, {19, 4096}, {-1, 1 << 20}};
+  std::uint32_t oracle = 0;
+  auto fold = [&](std::uint64_t value) {
+    std::array<std::byte, 8> bytes;
+    std::memcpy(bytes.data(), &value, 8);
+    oracle = detail::crc32c_portable(bytes, oracle);
+  };
+  fold(static_cast<std::uint64_t>(pkg.reader));
+  fold(pkg.seq);
+  for (const auto& [d, offset] : pkg.entries) {
+    fold(static_cast<std::uint64_t>(d));
+    fold(static_cast<std::uint64_t>(offset));
+  }
+  EXPECT_EQ(pkg.checksum(), oracle);
+  EXPECT_EQ(pkg.checksum(), 0xF126815Bu);
+}
+
+// Rank threads make their first checksum call at once; each must see the
+// dispatch already settled and get the same digest.
+TEST(Crc32c, ConcurrentFirstCallsAgree) {
+  constexpr int kThreads = 8;
+  Rng rng(99);
+  const std::vector<std::byte> buf = random_bytes(rng, 3 * 3 * 4096 + 777);
+  const std::uint32_t expected = detail::crc32c_portable(buf);
+  std::array<std::uint32_t, kThreads> got{};
+  std::array<std::uint32_t, kThreads> folded{};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = crc32c(buf);
+      folded[t] = crc32c_u64(0x0123456789ABCDEFull, got[t]);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], expected);
+    EXPECT_EQ(folded[t], folded[0]);
+  }
 }
 
 }  // namespace
