@@ -30,36 +30,12 @@ enum class KernelLevel : std::int32_t {
   kBlocked = 2,
 };
 
-/// Effective dispatch level for the calling thread: the thread-local
-/// override when one is installed, the process-global level otherwise
-/// (relaxed load; default kAuto).
+/// The process-global dispatch level (relaxed load; default kAuto).
 KernelLevel kernel_level() noexcept;
 
 /// Sets the process-global dispatch level. Intended for tests and benches;
 /// task bodies never touch it.
 void set_kernel_level(KernelLevel level) noexcept;
-
-namespace detail {
-/// Per-thread dispatch override; -1 means "inherit the process global".
-/// An inline variable so setting it from another module (the executor's
-/// worker threads) needs no link dependency on rapid_num.
-inline thread_local std::int32_t t_kernel_override = -1;
-}  // namespace detail
-
-/// Installs a thread-local dispatch override (KernelLevel as int; any
-/// negative value clears it). The runtime service admits concurrent runs
-/// with different RunConfig::kernel_dispatch into one process, so the
-/// process-global level cannot be the only knob: executor worker threads
-/// install their run's level here for the thread's lifetime, and threads of
-/// runs that did not ask (kernel_dispatch < 0) keep the global behavior.
-inline void set_thread_kernel_level(std::int32_t level) noexcept {
-  detail::t_kernel_override = level;
-}
-
-/// The calling thread's override, or -1 when it inherits the global.
-inline std::int32_t thread_kernel_level() noexcept {
-  return detail::t_kernel_override;
-}
 
 /// "auto" / "ref" / "blocked".
 const char* kernel_level_name(KernelLevel level) noexcept;

@@ -21,11 +21,6 @@ std::atomic<KernelLevel> g_kernel_level{KernelLevel::kAuto};
 }  // namespace
 
 KernelLevel kernel_level() noexcept {
-  const std::int32_t t = detail::t_kernel_override;
-  if (t >= static_cast<std::int32_t>(KernelLevel::kAuto) &&
-      t <= static_cast<std::int32_t>(KernelLevel::kBlocked)) {
-    return static_cast<KernelLevel>(t);
-  }
   return g_kernel_level.load(std::memory_order_relaxed);
 }
 

@@ -1,12 +1,7 @@
 // The workload registry: the one place a workload spec string becomes an
 // app (task graph + task bodies), an owner-compute schedule and a run plan.
-// Every CLI, bench and the runtime service build workloads through it, and
-// so does the cross-process shm transport: a spawned rapid_shm_worker
-// process shares no address space with the coordinator, so it cannot
-// inherit the plan or the task-body closures; instead the coordinator
-// writes the spec into the segment header and the worker rebuilds the
-// *identical* workload from it, then cross-checks rt::plan_fingerprint
-// against the coordinator's before touching any shared state.
+// Every CLI, bench and the runtime service build workloads through it; the
+// service's plan cache keys on the spec strings.
 //
 // Grammar: `<app>:<key>=<value>,...` — keys in any order, each at most
 // once, all optional.
@@ -88,8 +83,8 @@ sched::Schedule schedule_owner_compute(const graph::TaskGraph& graph,
                                        int procs, std::string_view ordering);
 
 /// The spec of `app` over the paper stand-in `matrix`. scale is written in
-/// its shortest round-trip form, so re-parsing the spec (as a spawned shm
-/// worker does) reads back the same double.
+/// its shortest round-trip form, so re-parsing the spec reads back the
+/// same double and rebuilds the same plan.
 std::string matrix_spec(std::string_view app, std::string_view matrix,
                         double scale, sparse::Index block, int procs,
                         std::string_view ordering = "rcp");

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
 
   // First-fit fragmentation and alignment put the practical floor above
   // MIN_MEM; escalate the fraction until the run executes (same policy as
-  // bench_executor).
+  // rapid_check).
   std::unique_ptr<obs::Trace> trace;
   rt::RunReport report;
   std::int64_t capacity = 0;

@@ -67,12 +67,10 @@ void Impl::transmit_batch(ProcId q, ProcId dest,
     if (size > 0) {
       tp->put(dst, dst_off, mine.heap + src_off, size);
     }
-    std::uint32_t crc = 0;
-    if (checksum_on) {
-      // Digest of the source bytes (stable: the owner is the only writer
-      // of its own object and is not inside a task body here).
-      crc = crc32c({mine.heap + src_off, static_cast<std::size_t>(size)});
-    }
+    // Digest of the source bytes (stable: the owner is the only writer of
+    // its own object and is not inside a task body here).
+    const std::uint32_t crc =
+        crc32c({mine.heap + src_off, static_cast<std::size_t>(size)});
     if (faults_on && size > 0 &&
         faults.corrupt_put(s.object, s.version, dest, attempt)) {
       const auto [site, mask] = faults.corrupt_site(s.object, s.version,
@@ -96,7 +94,7 @@ void Impl::transmit_batch(ProcId q, ProcId dest,
   for (const StagedPut& p : staged) {
     // The one publication-order contract (crc relaxed -> version
     // release max-merge -> seq release), defined once on the transport.
-    tp->publish(dst, p.object, p.version, checksum_on, p.crc, p.attempt);
+    tp->publish(dst, p.object, p.version, p.crc, p.attempt);
     if (p.attempt > 1) {
       ++me.ctr[kCtrResends];
       publish_recovery_counters(q);
@@ -351,7 +349,7 @@ bool Impl::service_ra_cq(ProcId q) {
           ++me.ctr[kCtrDupSuppressions];
           continue;
         }
-        if (checksum_on && pkg.crc != pkg.checksum()) {
+        if (pkg.crc != pkg.checksum()) {
           ++me.ctr[kCtrChecksumRejections];
           if (!recovery_on) {
             fail(q,

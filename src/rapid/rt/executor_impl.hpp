@@ -6,10 +6,11 @@
 //   progress_monitor.cpp  snapshot collection, the one monitor loop for
 //                         both transports, deadline/cancel
 //   threaded_executor.cpp the per-rank step loop (shared by in-proc threads
-//                         and shm_worker_run) with its readiness checks and
-//                         snapshot answer, setup, run_inproc, the public API
-//   shm_coordinator.cpp   run_shm, the config round-trip, proc-failure
-//                         diagnosis, trace merge, shm_worker_run
+//                         and forked shm workers) with its readiness checks
+//                         and snapshot answer, setup, run_inproc, the
+//                         public API
+//   shm_coordinator.cpp   run_shm, the forked worker's run, proc-failure
+//                         diagnosis, trace merge
 //
 // The readiness checks (task_ready, content_trusted) live with the step
 // loop that calls them on every poll, and with the worker-side snapshot
@@ -82,7 +83,6 @@ struct ThreadedExecutor::Impl {
   /// FaultPlan::induced_fault_runs — run_with_recovery's restarted attempts
   /// then run clean.
   const bool induced_on;
-  const bool checksum_on;
   const bool recovery_on;
   /// Event tracer. Same pattern as faults_on: `tracing` is a const member
   /// so every record site is one predictable branch when tracing is off.
@@ -381,7 +381,7 @@ struct ThreadedExecutor::Impl {
   RunReport run_inproc();
 
   // ---- shm coordinator (shm_coordinator.cpp) ---------------------------
-  ShmRunSpec build_shm_spec(const std::string& trace_dir) const;
+  int run_forked_worker(ProcId q, const std::string& trace_dir);
   void declare_dead(ProcId dead, const char* detected_by, int sig, int code,
                     double lease_age);
   bool reap_dead_ranks();

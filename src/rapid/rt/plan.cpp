@@ -173,4 +173,21 @@ RunPlan build_run_plan(const graph::TaskGraph& graph,
   return plan;
 }
 
+std::uint64_t plan_fingerprint(const RunPlan& plan) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  mix(static_cast<std::uint64_t>(plan.procs.size()));
+  for (const ProcPlan& pp : plan.procs) {
+    mix(static_cast<std::uint64_t>(pp.order.size()));
+    for (TaskId t : pp.order) {
+      mix(static_cast<std::uint64_t>(t) + 0x9e3779b9ull);
+    }
+    mix(static_cast<std::uint64_t>(pp.permanent_bytes));
+  }
+  return h;
+}
+
 }  // namespace rapid::rt

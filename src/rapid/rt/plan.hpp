@@ -93,4 +93,9 @@ struct RunPlan {
 RunPlan build_run_plan(const graph::TaskGraph& graph,
                        const sched::Schedule& schedule);
 
+/// Cheap fingerprint of a plan's shape: per-processor task order and
+/// permanent bytes (FNV-1a). The plan cache records it per entry, and the
+/// golden-plan tests pin it per spec.
+std::uint64_t plan_fingerprint(const RunPlan& plan);
+
 }  // namespace rapid::rt

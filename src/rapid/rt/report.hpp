@@ -151,12 +151,6 @@ struct RunConfig {
   /// differ from the plain coalescing arena, so conformance/audit replays
   /// must be constructed with the same flag; byte accounting is identical.
   bool slab_arena = false;
-  /// Kernel dispatch level for this run's task bodies (num::KernelLevel as
-  /// an int: 0 auto, 1 ref, 2 blocked; negative — the default — inherits
-  /// the process-global num::kernel_level()). Worker threads install it as
-  /// a thread-local override, so concurrent service runs with different
-  /// levels coexist in one process without clobbering each other.
-  std::int32_t kernel_dispatch = -1;
 };
 
 /// The threaded executor's run counters, one slot each. Every rank counts
@@ -186,7 +180,7 @@ using CounterBlock = std::array<std::int64_t, kNumRunCounters>;
 
 struct RunReport {
   /// Version of the to_json() document layout. Bumped when fields are
-  /// added/renamed so downstream consumers of BENCH_executor.json and the
+  /// added/renamed so downstream consumers of the run-report JSON and the
   /// CI report artifacts can detect what they are reading. Version 2 added
   /// the optional "metrics" block (trace-derived histograms/residencies);
   /// version 3 added "put_batches" (coalesced RMA put rounds); version 4

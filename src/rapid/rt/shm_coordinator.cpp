@@ -1,9 +1,8 @@
-// The shm coordinator: run_shm (segment, worker processes, teardown), the
-// RunConfig/ThreadedOptions round-trip through the segment header, the
-// liveness poll the progress monitor runs on shm (waitpid reaping, lease
-// lapse, dead-rank diagnosis), the merge of the workers' trace dumps, and
-// shm_worker_run — one rank's protocol loop inside a worker process.
-#include <cstring>
+// The shm coordinator: run_shm (segment, forked worker processes,
+// teardown), the liveness poll the progress monitor runs on shm (waitpid
+// reaping, lease lapse, dead-rank diagnosis), the merge of the workers'
+// trace dumps, and run_forked_worker — one rank's protocol loop inside a
+// forked worker process.
 #include <filesystem>
 
 #include <signal.h>
@@ -19,27 +18,6 @@
 namespace rapid::rt {
 
 using Impl = ThreadedExecutor::Impl;
-
-ShmRunSpec Impl::build_shm_spec(const std::string& trace_dir) const {
-  ShmRunSpec spec;
-  spec.config = config;
-  spec.run_id = options.run_id;
-  spec.checksum = options.checksum ? 1 : 0;
-  spec.retry = options.retry;
-  spec.run_attempt = options.run_attempt;
-  spec.faults = faults;
-  spec.lease_timeout_seconds = options.lease_timeout_seconds;
-  if (tracing) {
-    spec.trace_enabled = 1;
-    spec.trace_events_per_proc = static_cast<std::int32_t>(trace->capacity());
-    std::strncpy(spec.trace_dir, trace_dir.c_str(),
-                 sizeof(spec.trace_dir) - 1);
-  }
-  std::strncpy(spec.workload_spec, options.workload_spec.c_str(),
-               sizeof(spec.workload_spec) - 1);
-  spec.plan_fingerprint = rt::plan_fingerprint(plan);
-  return spec;
-}
 
 /// Declares rank `dead` dead: a structured diagnosis including every
 /// survivor's wait that only the corpse could have satisfied, recorded as
@@ -171,12 +149,12 @@ RunReport Impl::run_shm() {
   try {
     if (config.audit) verify::audit_or_throw(plan, config);
     session = ShmSession::create(ShmTransport::dims_for(plan, config),
-                                 build_shm_spec(trace_dir));
+                                 options.lease_timeout_seconds);
     attach_transport(session->transport());
     // Coordinator-side MAP engines for every rank: the offsets are
     // deterministic, so read_object and the baseline prefill agree with
-    // the engines the workers rebuild for themselves. No free hooks —
-    // the coordinator never plays a protocol role.
+    // the engines the workers build for themselves. No free hooks — the
+    // coordinator never plays a protocol role.
     for (ProcId q = 0; q < plan.num_procs; ++q) {
       setup_proc_state(q, /*install_free_hook=*/false);
     }
@@ -188,20 +166,8 @@ RunReport Impl::run_shm() {
   if (tracing) std::filesystem::create_directories(trace_dir);
 
   Stopwatch wall;
-  if (options.shm_launch == ThreadedOptions::ShmLaunch::kSpawn) {
-    RAPID_CHECK(!options.shm_worker_path.empty(),
-                "shm spawn mode needs ThreadedOptions::shm_worker_path");
-    RAPID_CHECK(!options.workload_spec.empty(),
-                "shm spawn mode needs ThreadedOptions::workload_spec so "
-                "rapid_shm_worker can rebuild the plan");
-    session->spawn_exec(options.shm_worker_path);
-  } else {
-    ShmTransport* st = &session->transport();
-    session->spawn_fork([this, st](ProcId) {
-      // spawn_fork already switched the transport's rank.
-      return shm_worker_run(*st, plan, init, body);
-    });
-  }
+  session->spawn_fork(
+      [this, &trace_dir](ProcId q) { return run_forked_worker(q, trace_dir); });
   since_spawn.reset();
   monitor();
 
@@ -256,36 +222,30 @@ RunReport Impl::run_shm() {
   return finish_run(std::move(report));
 }
 
-// One rank's worker run against an shm transport: rebuild the run
-// parameters from the segment header (so fork children and exec'd
-// rapid_shm_worker processes execute identically), run the unchanged
-// protocol loop on the calling thread, then publish counters and dump the
-// trace ring for the coordinator to merge.
-int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
-                   const ObjectInit& init, const TaskBody& body) {
-  const ProcId q = transport.local_rank();
+/// One rank's run inside a forked worker process: a fresh Impl over the
+/// inherited plan, task bodies, config and options (the coordinator
+/// audited before forking; this process traces only its own rank), the
+/// unchanged protocol loop on the calling thread, then the counters
+/// published and the trace ring dumped for the coordinator to merge.
+int Impl::run_forked_worker(ProcId q, const std::string& trace_dir) {
+  ShmTransport& transport = *tp;
   // A lambda so the catch below can turn *anything* escaping the worker
   // loop into a structured failure in the segment, never a silent nonzero
   // exit.
   auto inner = [&]() -> int {
-    const ShmRunSpec& spec = transport.spec();
-    RunConfig config = spec.config;
-    config.audit = false;  // the coordinator audited before spawning
-    ThreadedOptions options;
-    options.run_id = spec.run_id;
-    options.checksum = spec.checksum != 0;
-    options.retry = spec.retry;
-    options.run_attempt = spec.run_attempt;
-    options.faults = spec.faults;
-    options.transport = TransportKind::kShm;
+    RunConfig worker_config = config;
+    worker_config.audit = false;
+    ThreadedOptions worker_options = options;
     obs::TraceConfig tc;
-    tc.enabled = spec.trace_enabled != 0;
-    tc.events_per_proc = spec.trace_events_per_proc;
+    tc.enabled = tracing;
+    if (tracing) {
+      tc.events_per_proc = static_cast<std::int32_t>(trace->capacity());
+    }
     tc.sole_proc = q;  // this process records only its own rank
     obs::Trace local_trace(plan.num_procs, tc);
-    if (tc.enabled) options.trace = &local_trace;
+    worker_options.trace = tracing ? &local_trace : nullptr;
 
-    ThreadedExecutor::Impl impl(plan, config, init, body, options);
+    Impl impl(plan, worker_config, init, body, worker_options);
     impl.reset_run_state();
     impl.attach_transport(transport);
     set_log_thread_proc(q);
@@ -314,9 +274,9 @@ int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
       rc = kShmWorkerAborted;
     }
     transport.publish_worker_done(q, impl.finished_counters(q));
-    if (impl.tracing && spec.trace_dir[0] != '\0') {
+    if (impl.tracing) {
       const std::string path =
-          cat(spec.trace_dir, "/p", q, ".pid", ::getpid(), ".trace.bin");
+          cat(trace_dir, "/p", q, ".pid", ::getpid(), ".trace.bin");
       if (!obs::save_proc_trace(local_trace, q, path)) {
         RAPID_WARN("shm worker p" << q << ": failed to dump trace to "
                                   << path);

@@ -87,7 +87,7 @@ void sample_shm_health(obs::MetricsRegistry& reg) {
       ranks.resize(static_cast<std::size_t>(p));
     }
     const double lease_timeout =
-        std::max(tp.spec().lease_timeout_seconds, 0.1);
+        std::max(t.session->lease_timeout_seconds(), 0.1);
     for (std::int32_t q = 0; q < p; ++q) {
       RankAgg& agg = ranks[static_cast<std::size_t>(q)];
       const double age =

@@ -8,6 +8,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include "rapid/support/check.hpp"
 #include "rapid/support/log.hpp"
 #include "rapid/support/stopwatch.hpp"
@@ -17,13 +21,6 @@ namespace rapid::rt {
 
 namespace {
 
-constexpr char kShmMagic[8] = {'R', 'A', 'P', 'I', 'D', 'S', 'H', 'M'};
-// v2: live_nacks / live_resends mirrors appended to ShmRankCtl so the
-// telemetry sampler can read per-rank recovery traffic mid-run.
-// v3: ShmRunSpec embeds RunConfig; the never-set tuning fields are gone.
-// v4: mailbox_slots and max_pkg_entries are header dims; mailbox slots are
-// sized from the plan's largest address package, not from num_data.
-constexpr std::uint32_t kLayoutVersion = 4;
 /// Bounded NACK ring per destination; a full ring drops the re-request
 /// (the waiter's next deadline re-sends it — NACKs are idempotent).
 constexpr std::int32_t kNackCap = 1024;
@@ -33,11 +30,6 @@ constexpr std::int64_t align_up(std::int64_t x, std::int64_t a) {
 }
 
 struct ShmHeader {
-  char magic[8];
-  std::uint32_t layout_version;
-  ShmTransport::Dims dims;
-  std::int64_t total_bytes;
-  ShmRunSpec spec;
   alignas(64) ShmBellState data_bell;
   alignas(64) ShmBellState control_bell;
   alignas(64) std::atomic<std::uint32_t> abort;
@@ -141,24 +133,9 @@ AddrPackage deserialize_package(const std::byte* slot) {
 
 }  // namespace
 
-std::uint64_t plan_fingerprint(const RunPlan& plan) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(plan.procs.size()));
-  for (const ProcPlan& pp : plan.procs) {
-    mix(static_cast<std::uint64_t>(pp.order.size()));
-    for (TaskId t : pp.order) mix(static_cast<std::uint64_t>(t) + 0x9e3779b9ull);
-    mix(static_cast<std::uint64_t>(pp.permanent_bytes));
-  }
-  return h;
-}
-
 /// Offsets (and a few derived byte sizes) of every region in the segment,
-/// computed identically by the creator and every attacher from the dims in
-/// the header. All pointers are into this process's own mapping.
+/// computed from the dims. All pointers are into the segment's mapping,
+/// which forked workers inherit at the same address.
 struct ShmTransport::Layout {
   ShmHeader* hdr = nullptr;
   ShmRankCtl* ctl = nullptr;  // num_procs + 1 slots (last = coordinator)
@@ -257,11 +234,9 @@ struct ShmTransport::Layout {
   }
 };
 
-ShmTransport::ShmTransport(ShmSegment seg, ProcId rank)
+ShmTransport::ShmTransport(ShmSegment seg, const Dims& dims)
     : seg_(std::move(seg)),
-      rank_(rank),
-      l_(std::make_unique<Layout>(Layout::compute(
-          seg_.data(), reinterpret_cast<const ShmHeader*>(seg_.data())->dims))),
+      l_(std::make_unique<Layout>(Layout::compute(seg_.data(), dims))),
       data_bell_(&l_->hdr->data_bell),
       control_bell_(&l_->hdr->control_bell) {}
 
@@ -288,35 +263,16 @@ ShmTransport::Dims ShmTransport::dims_for(const RunPlan& plan,
   return dims;
 }
 
-std::unique_ptr<ShmTransport> ShmTransport::create(const std::string& name,
-                                                   const Dims& dims,
-                                                   const ShmRunSpec& spec) {
+/// The heap windows and the mailbox/NACK slots are never touched here:
+/// their pages stay unmapped until a rank writes them.
+std::unique_ptr<ShmTransport> ShmTransport::create(const Dims& dims,
+                                                   bool shared) {
   const std::int64_t bytes = Layout::compute(nullptr, dims).total_bytes;
-  return init(ShmSegment::create(name, bytes), dims, spec);
-}
-
-std::unique_ptr<ShmTransport> ShmTransport::create_private(const Dims& dims) {
-  const std::int64_t bytes = Layout::compute(nullptr, dims).total_bytes;
-  return init(ShmSegment::anonymous(bytes), dims, ShmRunSpec{});
-}
-
-/// Writes the header and placement-news every shared object of a fresh,
-/// zero-filled segment. The heap windows and the mailbox/NACK slots are
-/// never touched here: on a private mapping their pages stay unmapped
-/// until a rank writes them.
-std::unique_ptr<ShmTransport> ShmTransport::init(ShmSegment seg,
-                                                 const Dims& dims,
-                                                 const ShmRunSpec& spec) {
-  std::byte* base = seg.data();
-  const Layout l = Layout::compute(base, dims);
+  ShmSegment seg = ShmSegment::anonymous(bytes, shared);
+  const Layout l = Layout::compute(seg.data(), dims);
   // The mapping is zero-filled; placement-new every shared object anyway
   // so the code never leans on atomic representation details.
-  ShmHeader* hdr = new (base) ShmHeader{};
-  std::memcpy(hdr->magic, kShmMagic, sizeof(kShmMagic));
-  hdr->layout_version = kLayoutVersion;
-  hdr->dims = dims;
-  hdr->total_bytes = l.total_bytes;
-  hdr->spec = spec;
+  ShmHeader* hdr = new (seg.data()) ShmHeader{};
   new (&hdr->data_bell) ShmBellState{};
   new (&hdr->control_bell) ShmBellState{};
   new (&hdr->abort) std::atomic<std::uint32_t>{0};
@@ -340,30 +296,8 @@ std::unique_ptr<ShmTransport> ShmTransport::init(ShmSegment seg,
     new (l.nack_dst(dst)) NackDstHeader{};
   }
   return std::unique_ptr<ShmTransport>(
-      new ShmTransport(std::move(seg), graph::kInvalidProc));
+      new ShmTransport(std::move(seg), dims));
 }
-
-std::unique_ptr<ShmTransport> ShmTransport::attach(const std::string& name,
-                                                   ProcId rank) {
-  ShmSegment seg = ShmSegment::attach(name);
-  RAPID_CHECK(seg.size() >= static_cast<std::int64_t>(sizeof(ShmHeader)),
-              "shm transport: segment too small for header");
-  const ShmHeader* hdr = reinterpret_cast<const ShmHeader*>(seg.data());
-  RAPID_CHECK(std::memcmp(hdr->magic, kShmMagic, sizeof(kShmMagic)) == 0,
-              cat("shm transport: bad magic in ", name));
-  RAPID_CHECK(hdr->layout_version == kLayoutVersion,
-              cat("shm transport: layout version mismatch in ", name));
-  RAPID_CHECK(seg.size() >= hdr->total_bytes,
-              cat("shm transport: segment truncated (", seg.size(), " < ",
-                  hdr->total_bytes, ")"));
-  RAPID_CHECK(rank >= 0 && rank < hdr->dims.num_procs,
-              cat("shm transport: rank ", rank, " out of range"));
-  return std::unique_ptr<ShmTransport>(
-      new ShmTransport(std::move(seg), rank));
-}
-
-const std::string& ShmTransport::segment_name() const { return seg_.name(); }
-const ShmRunSpec& ShmTransport::spec() const { return l_->hdr->spec; }
 
 std::int32_t ShmTransport::num_procs() const { return l_->p; }
 
@@ -636,24 +570,17 @@ std::string ShmTransport::rank_failure_text(ProcId q) const {
 // ---------------------------------------------------------------------------
 // ShmSession
 
-namespace {
-std::string fresh_segment_name() {
-  static std::atomic<std::uint32_t> counter{0};
-  return cat("/rapid-", static_cast<std::int64_t>(::getpid()), "-",
-             counter.fetch_add(1, std::memory_order_relaxed), "-",
-             now_ns() & 0xffffff);
-}
-}  // namespace
-
-ShmSession::ShmSession(std::unique_ptr<ShmTransport> tp) : tp_(std::move(tp)) {
+ShmSession::ShmSession(std::unique_ptr<ShmTransport> tp,
+                       double lease_timeout_seconds)
+    : tp_(std::move(tp)), lease_timeout_seconds_(lease_timeout_seconds) {
   children_.resize(static_cast<std::size_t>(tp_->num_procs()));
   detail::shm_health_register(this);
 }
 
 std::unique_ptr<ShmSession> ShmSession::create(const ShmTransport::Dims& dims,
-                                               const ShmRunSpec& spec) {
-  return std::unique_ptr<ShmSession>(
-      new ShmSession(ShmTransport::create(fresh_segment_name(), dims, spec)));
+                                               double lease_timeout_seconds) {
+  return std::unique_ptr<ShmSession>(new ShmSession(
+      ShmTransport::create(dims, /*shared=*/true), lease_timeout_seconds));
 }
 
 ShmSession::~ShmSession() {
@@ -666,12 +593,20 @@ ShmSession::~ShmSession() {
 
 void ShmSession::spawn_fork(const WorkerFn& fn) {
   const std::int32_t p = tp_->num_procs();
+  [[maybe_unused]] const pid_t coordinator = ::getpid();
   for (std::int32_t q = 0; q < p; ++q) {
     const pid_t pid = ::fork();
     RAPID_CHECK(pid >= 0, cat("shm session: fork failed: ", std::strerror(errno)));
     if (pid == 0) {
-      // Child: become rank q and never return through the caller's stack.
-      tp_->set_local_rank(q);
+#if defined(__linux__)
+      // A worker never outlives its coordinator: without it nobody reaps,
+      // leases or reports, and a rank it died before forking would be
+      // waited on forever. The death signal follows the forking thread,
+      // which stays in run() until every worker is reaped.
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (::getppid() != coordinator) ::_exit(kShmWorkerFailed);
+#endif
+      // Child: run rank q and never return through the caller's stack.
       int rc = kShmWorkerFailed;
       try {
         rc = fn(q);
@@ -679,24 +614,6 @@ void ShmSession::spawn_fork(const WorkerFn& fn) {
         rc = kShmWorkerFailed;
       }
       ::_exit(rc & 0xff);
-    }
-    children_[static_cast<std::size_t>(q)].pid = pid;
-  }
-}
-
-void ShmSession::spawn_exec(const std::string& worker_path) {
-  const std::int32_t p = tp_->num_procs();
-  const std::string seg_arg = cat("--segment=", tp_->segment_name());
-  for (std::int32_t q = 0; q < p; ++q) {
-    const std::string rank_arg = cat("--rank=", q);
-    const pid_t pid = ::fork();
-    RAPID_CHECK(pid >= 0, cat("shm session: fork failed: ", std::strerror(errno)));
-    if (pid == 0) {
-      char* argv[] = {const_cast<char*>(worker_path.c_str()),
-                      const_cast<char*>(seg_arg.c_str()),
-                      const_cast<char*>(rank_arg.c_str()), nullptr};
-      ::execv(worker_path.c_str(), argv);
-      ::_exit(127);
     }
     children_[static_cast<std::size_t>(q)].pid = pid;
   }

@@ -2,7 +2,7 @@
 // NACK ring, bell and control slot lives in one segment with a strictly
 // offset-based layout; docs/TRANSPORT.md diagrams it.
 //
-//   [ ShmHeader         | magic, dims, run spec, bells, abort, quiescent ]
+//   [ ShmHeader         | bells, abort, quiescent, first failure slot    ]
 //   [ ShmRankCtl x p+1  | lease, state/pos, wait record, error, counters ]
 //   [ heap windows x p  | capacity_per_proc bytes each                   ]
 //   [ received_version  | p x num_data  atomic<int32>                    ]
@@ -15,11 +15,10 @@
 // In-proc runs (TransportKind::kInProc) build the layout in a private
 // anonymous mapping and run the ranks as threads; pages are zero on first
 // touch, so a window costs only the bytes its rank actually writes. Shm
-// runs (kShm) build it in a named POSIX segment: the coordinator (the
-// process that called ThreadedExecutor::run) creates it, spawns workers
-// (fork by default — the plan and task bodies are inherited — or exec of
-// rapid_shm_worker, which rebuilds the workload from the spec string in
-// the header), and monitors: waitpid reaping, lease lapses, the light
+// runs (kShm) build it in a shared anonymous mapping: the coordinator (the
+// process that called ThreadedExecutor::run) maps it, forks one worker per
+// rank — each inherits the mapping, the plan, the task bodies and the run
+// parameters — and monitors: waitpid reaping, lease lapses, the light
 // status slots, and the global watchdog. Workers run the unchanged
 // protocol loop against this transport and _exit with kShmWorkerClean /
 // kShmWorkerAborted / kShmWorkerFailed. Only a shared segment stamps
@@ -35,7 +34,6 @@
 
 #include <sys/types.h>
 
-#include "rapid/rt/faults.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/rt/transport.hpp"
 #include "rapid/support/shm.hpp"
@@ -50,38 +48,6 @@ inline constexpr int kShmWorkerClean = 0;
 inline constexpr int kShmWorkerAborted = 20;
 /// The worker hit its own failure; details are in its error slot.
 inline constexpr int kShmWorkerFailed = 30;
-
-/// POD run parameters the coordinator writes into the header so every
-/// worker — forked or exec'd — executes under the exact same configuration
-/// it planned with.
-struct ShmRunSpec {
-  /// The coordinator's RunConfig, verbatim (workers force audit off: the
-  /// coordinator audited before spawning).
-  RunConfig config;
-  // The ThreadedOptions the workers' protocol loop reads.
-  /// ThreadedOptions::run_id for worker log tags (-1 = standalone run).
-  std::int64_t run_id = -1;
-  std::uint8_t checksum = 1;
-  RetryPolicy retry;
-  std::int32_t run_attempt = 1;
-  FaultPlan faults;
-  double lease_timeout_seconds = 2.0;
-  // Tracing: workers trace into rings of the coordinator Trace's capacity
-  // and dump them into trace_dir for the coordinator to merge.
-  std::uint8_t trace_enabled = 0;
-  std::int32_t trace_events_per_proc = 1 << 16;
-  char trace_dir[256] = {};
-  // Exec mode: the workload spec rapid_shm_worker rebuilds the plan from,
-  // and a fingerprint of the coordinator's plan so a divergent rebuild
-  // fail-stops instead of corrupting memory.
-  char workload_spec[256] = {};
-  std::uint64_t plan_fingerprint = 0;
-};
-static_assert(std::is_trivially_copyable_v<ShmRunSpec>);
-
-/// Cheap fingerprint of a plan's shape (dims + schedule order), enough to
-/// catch an exec-mode worker that rebuilt a different plan.
-std::uint64_t plan_fingerprint(const RunPlan& plan);
 
 class ShmTransport {
  public:
@@ -102,26 +68,12 @@ class ShmTransport {
   /// owned by o| entries, so the largest such count bounds every slot.
   static Dims dims_for(const RunPlan& plan, const RunConfig& config);
 
-  /// Coordinator side of an shm run: creates + initializes the named
-  /// segment. local rank -1.
-  static std::unique_ptr<ShmTransport> create(const std::string& name,
-                                              const Dims& dims,
-                                              const ShmRunSpec& spec);
-  /// In-proc run: the same layout in a private anonymous mapping, for
-  /// ranks that are threads of this process.
-  static std::unique_ptr<ShmTransport> create_private(const Dims& dims);
-  /// Worker side (exec mode): maps an existing segment as `rank`.
-  static std::unique_ptr<ShmTransport> attach(const std::string& name,
-                                              ProcId rank);
+  /// Maps a fresh segment for `dims` and initializes every shared object
+  /// in it. `shared`: a MAP_SHARED mapping that the forked workers of an
+  /// shm run inherit. Otherwise a private mapping for an in-proc run, whose
+  /// ranks are threads of this process.
+  static std::unique_ptr<ShmTransport> create(const Dims& dims, bool shared);
   ~ShmTransport();
-
-  /// Fork-mode children inherit the coordinator's mapping and just switch
-  /// identity.
-  void set_local_rank(ProcId q) { rank_ = q; }
-  ProcId local_rank() const { return rank_; }
-
-  const std::string& segment_name() const;
-  const ShmRunSpec& spec() const;
 
   TransportKind kind() const {
     return seg_.shared() ? TransportKind::kShm : TransportKind::kInProc;
@@ -148,8 +100,8 @@ class ShmTransport {
   /// put_seq (release). Readers gate readiness on the version acquire and
   /// trust on the seq acquire + CRC check; see docs/PROTOCOL.md Theorem 1.
   void publish(const WindowView& dst, DataId d, std::int32_t version,
-               bool with_crc, std::uint32_t crc, std::uint32_t seq) {
-    if (with_crc) dst.received_crc[d].store(crc, std::memory_order_relaxed);
+               std::uint32_t crc, std::uint32_t seq) {
+    dst.received_crc[d].store(crc, std::memory_order_relaxed);
     if (dst.received_version[d].load(std::memory_order_relaxed) < version) {
       dst.received_version[d].store(version, std::memory_order_release);
     }
@@ -262,12 +214,9 @@ class ShmTransport {
 
  private:
   struct Layout;
-  ShmTransport(ShmSegment seg, ProcId rank);
-  static std::unique_ptr<ShmTransport> init(ShmSegment seg, const Dims& dims,
-                                            const ShmRunSpec& spec);
+  ShmTransport(ShmSegment seg, const Dims& dims);
 
   ShmSegment seg_;
-  ProcId rank_;  // -1 = coordinator / in-proc
   std::unique_ptr<Layout> l_;
   FutexBell data_bell_;
   FutexBell control_bell_;
@@ -279,14 +228,18 @@ class ShmTransport {
 
 /// Coordinator-side session: the segment plus the worker processes. The
 /// destructor is the no-hang guarantee — it SIGKILLs and reaps any child
-/// still alive, then unlinks the segment.
+/// still alive, then unmaps the segment.
 class ShmSession {
  public:
+  /// `lease_timeout_seconds` is the run's heartbeat lease
+  /// (ThreadedOptions::lease_timeout_seconds); the telemetry sampler
+  /// judges a rank alive against it.
   static std::unique_ptr<ShmSession> create(const ShmTransport::Dims& dims,
-                                            const ShmRunSpec& spec);
+                                            double lease_timeout_seconds);
   ~ShmSession();
 
   ShmTransport& transport() { return *tp_; }
+  double lease_timeout_seconds() const { return lease_timeout_seconds_; }
 
   struct Child {
     pid_t pid = -1;
@@ -303,8 +256,6 @@ class ShmSession {
   /// Forks one child per rank; each child runs fn(rank) and _exit()s with
   /// its return value. Call before creating any thread in this process.
   void spawn_fork(const WorkerFn& fn);
-  /// Spawns `worker_path --segment=<name> --rank=<q>` per rank.
-  void spawn_exec(const std::string& worker_path);
 
   /// Non-blocking waitpid sweep; returns true if any child newly exited.
   /// Also tracks stops and continues (Child::stopped).
@@ -317,16 +268,11 @@ class ShmSession {
   bool wait_all(double timeout_seconds);
 
  private:
-  explicit ShmSession(std::unique_ptr<ShmTransport> tp);
+  ShmSession(std::unique_ptr<ShmTransport> tp, double lease_timeout_seconds);
   std::unique_ptr<ShmTransport> tp_;
+  double lease_timeout_seconds_;
   std::vector<Child> children_;
 };
-
-/// Runs one rank's worker protocol loop against an attached/forked shm
-/// transport (defined in shm_coordinator.cpp; shared by the fork children
-/// and the rapid_shm_worker binary). Returns the worker exit code.
-int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
-                   const ObjectInit& init, const TaskBody& body);
 
 namespace detail {
 /// Global registry of live coordinator-side ShmSessions, maintained by

@@ -1,5 +1,5 @@
 // The per-rank step loop (REC/EXE/SND/MAP/END, paper Figure 3(b)) with its
-// readiness checks, shared by the in-proc threads and shm_worker_run; the
+// readiness checks, shared by the in-proc threads and forked shm workers; the
 // per-run setup both backends use; run_inproc; and the public API.
 #include "rapid/rt/threaded_executor.hpp"
 
@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "rapid/num/dispatch.hpp"
 #include "rapid/obs/metrics.hpp"
 #include "rapid/rt/executor_impl.hpp"
 #include "rapid/support/checksum.hpp"
@@ -32,7 +31,6 @@ Impl::Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
       faults_on(options.faults.enabled()),
       induced_on(faults_on &&
                  options.run_attempt <= options.faults.induced_fault_runs),
-      checksum_on(options.checksum),
       recovery_on(options.retry.enabled()),
       trace(options.trace),
       tracing(options.trace != nullptr && options.trace->enabled()),
@@ -92,8 +90,8 @@ inline bool Impl::content_trusted(ProcId q, DataId d, GateRef* gate) {
 
 /// Lock-free: acquire loads pair with the senders' release stores, so a
 /// `true` result makes the payload bytes (and the flagged predecessors'
-/// effects) visible to the task body — and, with checksums on, that every
-/// remote input's payload digest matched. On false, `gate` (if given) is
+/// effects) visible to the task body — and that every remote input's
+/// payload digest matched. On false, `gate` (if given) is
 /// filled with the first unmet gate for wait tracking and diagnosis.
 inline bool Impl::task_ready(ProcId q, TaskId t, GateRef* gate) {
   const TaskRuntimePlan& trp = plan.tasks[t];
@@ -102,7 +100,7 @@ inline bool Impl::task_ready(ProcId q, TaskId t, GateRef* gate) {
     const std::int32_t have =
         mine.received_version[rr.object].load(std::memory_order_acquire);
     const bool arrived = have >= rr.version;
-    if (arrived && (!checksum_on || content_trusted(q, rr.object, gate))) {
+    if (arrived && content_trusted(q, rr.object, gate)) {
       continue;
     }
     if (gate) {
@@ -307,12 +305,6 @@ void Impl::worker(ProcId q) {
   Private& me = priv[q];
   set_log_thread_proc(q);
   set_log_thread_run(options.run_id);
-  // Per-run kernel dispatch: a thread-local override instead of the
-  // process-global level, so co-resident service runs with different
-  // RunConfig::kernel_dispatch never clobber each other.
-  if (config.kernel_dispatch >= 0) {
-    num::set_thread_kernel_level(config.kernel_dispatch);
-  }
   try {
     const ProcPlan& pp = plan.procs[q];
     // Initialize owned objects, then issue version-0 sends (they suspend
@@ -466,7 +458,7 @@ const CounterBlock& Impl::finished_counters(ProcId q) {
 // ---- run orchestration -------------------------------------------------------
 
 /// Per-run state reset plus the plan-derived index tables; shared by both
-/// backends and by shm_worker_run.
+/// backends and by the forked shm workers.
 void Impl::reset_run_state() {
   completed = false;
   priv.clear();
@@ -508,7 +500,7 @@ void Impl::setup_proc_state(ProcId q, bool install_free_hook) {
   pr.memory = std::make_unique<ProcMemory>(
       plan, q, config.capacity_per_proc, /*alignment=*/8,
       config.alloc_policy, config.slab_arena);
-  if (install_free_hook && (kPoisonFreed || checksum_on || tracing)) {
+  if (install_free_hook) {
     // Poison-fill freed volatile regions so a read through a stale
     // address (use-after-free across MAP reuse) yields garbage that the
     // numeric checks catch, not stale-but-plausible content — and reset
@@ -673,8 +665,8 @@ RunReport Impl::run_inproc() {
   RunReport report = begin_run();
   try {
     if (config.audit) verify::audit_or_throw(plan, config);
-    owned_tp =
-        ShmTransport::create_private(ShmTransport::dims_for(plan, config));
+    owned_tp = ShmTransport::create(ShmTransport::dims_for(plan, config),
+                                    /*shared=*/false);
     attach_transport(*owned_tp);
     for (ProcId q = 0; q < plan.num_procs; ++q) {
       setup_proc_state(q, /*install_free_hook=*/true);

@@ -60,15 +60,13 @@ struct ThreadedOptions {
   /// run resumes — so a real deadlock is diagnosed in seconds, not
   /// watchdog_seconds.
   double watchdog_seconds = 30.0;
-  /// Integrity-checked RMA: every content put and address package carries
-  /// a CRC32C verified before the publication is trusted (docs/PROTOCOL.md,
-  /// "Integrity and re-request recovery"). A mismatch fails the run with
-  /// FailureKind::kIntegrity unless `retry` recovery is enabled, in which
-  /// case the reader re-requests the payload instead.
-  bool checksum = true;
-  /// Bounded re-request/retry recovery. Disabled by default
-  /// (max_attempts == 0): detected faults fail the run exactly as in the
-  /// fail-stop design. When enabled, a blocked wait past its deadline sends
+  /// Bounded re-request/retry recovery. Every content put and address
+  /// package carries a CRC32C the reader verifies before trusting the
+  /// publication (docs/PROTOCOL.md, "Integrity and re-request recovery").
+  /// Disabled by default (max_attempts == 0): a checksum mismatch or any
+  /// other detected fault fails the run exactly as in the fail-stop design
+  /// (a mismatch as FailureKind::kIntegrity). When enabled, a mismatch
+  /// re-requests the payload, and a blocked wait past its deadline sends
   /// a NACK/re-request to the owner; transient task errors are re-executed;
   /// only exhausted retries escalate to ProtocolDeadlockError, and the
   /// stall watchdog budget is scaled by the policy's total wait so retries
@@ -103,22 +101,11 @@ struct ThreadedOptions {
   obs::Trace* trace = nullptr;
 
   /// Which one-sided transport carries the data plane. kInProc (default)
-  /// is the thread-per-processor executor; kShm runs each paper-processor
-  /// as an OS process over a POSIX shared-memory segment
-  /// (docs/TRANSPORT.md).
+  /// is the thread-per-processor executor; kShm forks each paper-processor
+  /// as an OS process over a shared anonymous mapping (docs/TRANSPORT.md).
+  /// The forked workers inherit the plan, the task bodies and these
+  /// options.
   TransportKind transport = TransportKind::kInProc;
-  /// How shm worker processes come to life: fork (default — they inherit
-  /// the plan and task bodies, any workload works) or spawning the
-  /// rapid_shm_worker binary (requires workload_spec so the worker can
-  /// rebuild the plan; only spec-expressible workloads).
-  enum class ShmLaunch : std::uint8_t { kFork = 0, kSpawn = 1 };
-  ShmLaunch shm_launch = ShmLaunch::kFork;
-  /// Path to the rapid_shm_worker binary (spawn mode only).
-  std::string shm_worker_path;
-  /// Workload spec string (num/shm_workloads.hpp grammar) identifying the
-  /// plan for spawned workers; checked against a fingerprint of the
-  /// coordinator's plan before any worker touches shared state.
-  std::string workload_spec;
   /// Heartbeat lease (shm only): a worker whose lease goes stale for this
   /// long while not inside a task body — or while stopped by a signal,
   /// wherever it is — is declared dead (SIGKILLed if still twitching) and

@@ -6,8 +6,9 @@
 //
 //   * kInProc — every paper-processor is a std::thread and the segment is
 //     a private anonymous mapping of this process;
-//   * kShm — every paper-processor is an OS process and the segment is a
-//     named POSIX shared-memory object; liveness is a heartbeat lease.
+//   * kShm — every paper-processor is a forked OS process and the segment
+//     is a shared anonymous mapping they all inherit; liveness is a
+//     heartbeat lease.
 #pragma once
 
 #include <atomic>

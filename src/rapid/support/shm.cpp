@@ -5,11 +5,8 @@
 #include <cstring>
 #include <ctime>
 #include <thread>
-#include <utility>
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #if defined(__linux__)
@@ -23,11 +20,6 @@
 namespace rapid {
 
 namespace {
-
-[[noreturn]] void throw_errno(const char* what, const std::string& name) {
-  throw Error(cat("shm: ", what, " failed for '", name, "': ",
-                  std::strerror(errno)));
-}
 
 #if defined(__linux__)
 // Raw futex syscall over process-shared (non-PRIVATE) words. glibc exposes
@@ -72,27 +64,19 @@ void futex_wake_all(std::atomic<std::uint32_t>* addr) {
 }  // namespace
 
 ShmSegment::ShmSegment(ShmSegment&& other) noexcept
-    : name_(std::move(other.name_)),
-      data_(other.data_),
-      size_(other.size_),
-      owner_(other.owner_),
-      shared_(other.shared_) {
+    : data_(other.data_), size_(other.size_), shared_(other.shared_) {
   other.data_ = nullptr;
   other.size_ = 0;
-  other.owner_ = false;
 }
 
 ShmSegment& ShmSegment::operator=(ShmSegment&& other) noexcept {
   if (this != &other) {
     close();
-    name_ = std::move(other.name_);
     data_ = other.data_;
     size_ = other.size_;
-    owner_ = other.owner_;
     shared_ = other.shared_;
     other.data_ = nullptr;
     other.size_ = 0;
-    other.owner_ = false;
   }
   return *this;
 }
@@ -104,60 +88,12 @@ void ShmSegment::close() {
     ::munmap(data_, static_cast<std::size_t>(size_));
     data_ = nullptr;
   }
-  if (owner_ && !name_.empty()) {
-    ::shm_unlink(name_.c_str());
-    owner_ = false;
-  }
 }
 
-ShmSegment ShmSegment::create(const std::string& name, std::int64_t bytes) {
-  int fd = ::shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-  if (fd < 0) throw_errno("shm_open(create)", name);
-  if (::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
-    ::close(fd);
-    ::shm_unlink(name.c_str());
-    throw_errno("ftruncate", name);
-  }
+ShmSegment ShmSegment::anonymous(std::int64_t bytes, bool shared) {
   void* p = ::mmap(nullptr, static_cast<std::size_t>(bytes),
-                   PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ::close(fd);
-  if (p == MAP_FAILED) {
-    ::shm_unlink(name.c_str());
-    throw_errno("mmap", name);
-  }
-  ShmSegment seg;
-  seg.name_ = name;
-  seg.data_ = static_cast<std::byte*>(p);
-  seg.size_ = bytes;
-  seg.owner_ = true;
-  seg.shared_ = true;
-  return seg;
-}
-
-ShmSegment ShmSegment::attach(const std::string& name) {
-  int fd = ::shm_open(name.c_str(), O_RDWR, 0600);
-  if (fd < 0) throw_errno("shm_open(attach)", name);
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw_errno("fstat", name);
-  }
-  void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                   PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ::close(fd);
-  if (p == MAP_FAILED) throw_errno("mmap", name);
-  ShmSegment seg;
-  seg.name_ = name;
-  seg.data_ = static_cast<std::byte*>(p);
-  seg.size_ = static_cast<std::int64_t>(st.st_size);
-  seg.owner_ = false;
-  seg.shared_ = true;
-  return seg;
-}
-
-ShmSegment ShmSegment::anonymous(std::int64_t bytes) {
-  void* p = ::mmap(nullptr, static_cast<std::size_t>(bytes),
-                   PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                   PROT_READ | PROT_WRITE,
+                   (shared ? MAP_SHARED : MAP_PRIVATE) | MAP_ANONYMOUS, -1,
                    0);
   if (p == MAP_FAILED) {
     throw Error(cat("shm: anonymous mmap of ", bytes,
@@ -166,6 +102,7 @@ ShmSegment ShmSegment::anonymous(std::int64_t bytes) {
   ShmSegment seg;
   seg.data_ = static_cast<std::byte*>(p);
   seg.size_ = bytes;
+  seg.shared_ = shared;
   return seg;
 }
 

@@ -1,29 +1,27 @@
-// Shared-memory plumbing for the one transport: a segment wrapper (a named
-// POSIX segment — shm_open + ftruncate + mmap MAP_SHARED — for forked or
-// exec'd ranks, or a private anonymous mapping for ranks that are threads),
-// the futex-backed progress bell whose state lives inside the segment, and
-// a tiny spinlock that survives a SIGKILLed holder by bailing out when the
-// run's abort flag rises. Everything here is offset/POD based — a named
-// segment is mapped at different addresses in every process, so no
-// pointer ever crosses a process boundary.
+// Shared-memory plumbing for the one transport: a segment wrapper (an
+// anonymous mapping — MAP_SHARED for ranks that are forked processes,
+// MAP_PRIVATE for ranks that are threads), the futex-backed progress bell
+// whose state lives inside the segment, and a tiny spinlock that survives a
+// SIGKILLed holder by bailing out when the run's abort flag rises.
+// Everything here is offset/POD based, so the layout never depends on
+// where a mapping sits.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "rapid/support/backoff.hpp"
 
 namespace rapid {
 
-/// A memory segment holding the transport layout. A named segment is a
-/// POSIX shared-memory object: the creating (coordinator) process owns the
-/// name and its destructor unlinks it; attaching processes map the existing
-/// segment and only unmap on destruction. Named mappings are MAP_SHARED, so
-/// plain std::atomic objects placement-new'd into the segment give real
-/// cross-process ordering on every platform we target (all lock-free,
-/// address-free atomics). An anonymous segment is a private mapping for
-/// ranks that are threads of one process.
+/// A memory segment holding the transport layout: one anonymous mapping.
+/// A shared segment (MAP_SHARED) is inherited by every process the owner
+/// forks after mapping it, so plain std::atomic objects placement-new'd
+/// into it give real cross-process ordering on every platform we target
+/// (all lock-free, address-free atomics). It has no name: nothing outside
+/// the process tree can open it, and the kernel frees it when its last
+/// process unmaps it or dies. A private segment (MAP_PRIVATE) serves ranks
+/// that are threads of one process.
 class ShmSegment {
  public:
   ShmSegment() = default;
@@ -33,35 +31,23 @@ class ShmSegment {
   ShmSegment& operator=(ShmSegment&& other) noexcept;
   ~ShmSegment();
 
-  /// Creates (O_CREAT | O_EXCL) a segment of `bytes` bytes, zero-filled.
-  /// Throws rapid::Error on failure.
-  static ShmSegment create(const std::string& name, std::int64_t bytes);
-
-  /// Maps an existing segment created by another process.
-  static ShmSegment attach(const std::string& name);
-
-  /// A private anonymous mapping (MAP_PRIVATE | MAP_ANONYMOUS) of `bytes`
-  /// bytes. Pages are zero on first touch and only touched pages count
-  /// toward RSS. The mapping is charged against the commit limit (no
-  /// MAP_NORESERVE), so an absurd size throws rapid::Error here instead
-  /// of faulting later.
-  static ShmSegment anonymous(std::int64_t bytes);
+  /// An anonymous mapping of `bytes` bytes, MAP_SHARED when `shared`,
+  /// MAP_PRIVATE otherwise. Pages are zero on first touch and only touched
+  /// pages count toward RSS. The mapping is charged against the commit
+  /// limit (no MAP_NORESERVE), so an absurd size throws rapid::Error here
+  /// instead of faulting later.
+  static ShmSegment anonymous(std::int64_t bytes, bool shared);
 
   std::byte* data() const { return data_; }
-  std::int64_t size() const { return size_; }
-  const std::string& name() const { return name_; }
-  bool valid() const { return data_ != nullptr; }
-  /// True for a named segment other processes can map (create/attach).
+  /// True for a MAP_SHARED segment that forked children share.
   bool shared() const { return shared_; }
 
-  /// Unmaps (and unlinks, if owner) early; the destructor is then a no-op.
+  /// Unmaps early; the destructor is then a no-op.
   void close();
 
  private:
-  std::string name_;
   std::byte* data_ = nullptr;
   std::int64_t size_ = 0;
-  bool owner_ = false;
   bool shared_ = false;
 };
 

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "rapid/rt/shm_transport.hpp"
+#include "rapid/rt/plan.hpp"
 #include "rapid/support/check.hpp"
 #include "rapid/support/str.hpp"
 

@@ -17,7 +17,6 @@
 //   backoff_us=<n>       restart backoff base      (default 0)
 //   faults=<preset>      addr|put|slow|park|corrupt|dup (arms retry too)
 //   seed=<n>             seed for the fault preset  (default 1)
-//   kernel=<n>           per-run kernel dispatch: 0 auto, 1 ref, 2 blocked
 //   active=<0|1>         paper's active memory      (default 1)
 //   slab=<0|1>           slab arena fast path       (default 0)
 //
@@ -87,8 +86,6 @@ svc::RunRequest parse_line(const std::string& line, std::int64_t line_no) {
       fault_preset = val;
     } else if (key == "seed") {
       fault_seed = parse_number<std::uint64_t>(where, key, val);
-    } else if (key == "kernel") {
-      req.config.kernel_dispatch = parse_number<std::int32_t>(where, key, val);
     } else if (key == "active") {
       req.config.active_memory = parse_number<int>(where, key, val) != 0;
     } else if (key == "slab") {

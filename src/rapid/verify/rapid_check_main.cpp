@@ -1,11 +1,12 @@
 // rapid_check: execution-conformance gate. Runs seed workloads under the
 // event tracer (threaded and/or simulated), replays each trace through the
 // vector-clock happens-before engine and the conformance rules (HB-RACE /
-// CONF-STATE / CONF-MSG / CONF-CAP, see verify/conformance.hpp), optionally
-// sweeps the recovery fault presets across seeds, and runs the litmus model
-// checker over the lock-free primitives. Exits non-zero iff any ERROR
-// finding survives (or, with --strict, any warning), or a litmus variant
-// disagrees with its expectation.
+// CONF-STATE / CONF-MSG / CONF-CAP, see verify/conformance.hpp), checks
+// every threaded run's numerics against the dense reference (NUM-RESIDUAL),
+// optionally sweeps the recovery fault presets across seeds, and runs the
+// litmus model checker over the lock-free primitives. Exits non-zero iff
+// any ERROR finding survives (or, with --strict, any warning), or a litmus
+// variant disagrees with its expectation.
 //
 //   ./rapid_check                                   # cholesky+lu, both executors
 //   ./rapid_check --workload=lu --executor=sim
@@ -53,6 +54,25 @@ JsonValue finding_json(const verify::Finding& f) {
   j["message"] = f.message;
   if (!f.hint.empty()) j["hint"] = f.hint;
   return j;
+}
+
+/// A threaded run whose factor residual against the dense reference is not
+/// below this bound computed a wrong answer.
+constexpr double kResidualBound = 1e-8;
+
+/// NUM-RESIDUAL: the numerics half of the gate. A data-plane bug the
+/// trace cannot see (a payload torn by an early publication, say) still
+/// shows up as a wrong factor.
+void check_residual(double residual, verify::AuditReport* report) {
+  if (residual < kResidualBound) return;
+  report->findings.push_back(
+      {.rule = "NUM-RESIDUAL",
+       .message = cat("residual ", residual,
+                      " against the dense reference is not below ",
+                      kResidualBound),
+       .hint = "the run completed but computed a wrong result: a payload "
+               "was read before its bytes landed, or a region was reused "
+               "while still live"});
 }
 
 void print_report(const CheckedRun& run) {
@@ -157,9 +177,10 @@ int main(int argc, char** argv) {
                       cat("unknown executor '", executor, "'"));
           // First-fit fragmentation and alignment put the practical floor
           // above MIN_MEM; escalate until the run executes (same policy as
-          // rapid_trace / bench_executor).
+          // rapid_trace).
           std::unique_ptr<obs::Trace> trace;
           rt::RunReport report;
+          double residual = 0.0;
           std::int64_t capacity = 0;
           for (double frac = flags.get_double("frac");; frac += 0.1) {
             capacity = std::max(
@@ -178,6 +199,7 @@ int main(int argc, char** argv) {
               rt::ThreadedExecutor exec(plan, config, w->make_init(),
                                         w->make_body(), options);
               report = exec.run();
+              if (report.executable) residual = w->residual(exec);
             } else {
               report = rt::simulate(plan, config, trace.get());
             }
@@ -195,6 +217,7 @@ int main(int argc, char** argv) {
           run.label = cat(name, "/", executor,
                           threaded && shm ? "+shm" : "", " clean");
           run.report = verify::check_conformance(plan, *trace, copt);
+          check_residual(residual, &run.report);
           total_errors += run.report.errors();
           total_warnings += run.report.warnings();
           print_report(run);
@@ -223,11 +246,13 @@ int main(int argc, char** argv) {
               RAPID_CHECK(report.executable,
                           cat(name, " ", preset, " seed ", seed,
                               " failed: ", report.failure));
+              residual = w->residual(exec);
               copt.report = &report;
               CheckedRun frun;
               frun.label = cat(name, "/threaded", shm ? "+shm " : " ",
                                preset, " seed ", seed);
               frun.report = verify::check_conformance(plan, *trace, copt);
+              check_residual(residual, &frun.report);
               total_errors += frun.report.errors();
               total_warnings += frun.report.warnings();
               if (frun.report.errors() > 0 ||

@@ -53,8 +53,7 @@ int run(const std::string& cmd, const std::string& out = "/dev/null") {
 const std::vector<std::string> kAllClis = {
     "src/rapid/verify/rapid_check", "src/rapid/verify/rapid_verify",
     "src/rapid/obs/rapid_trace",    "src/rapid/obs/rapid_top",
-    "src/rapid/svc/rapid_serve",    "bench/bench_executor",
-    "bench/bench_service",
+    "src/rapid/svc/rapid_serve",    "bench/bench_service",
 };
 
 TEST(CliExitCodes, HelpExitsOkOnEveryBinary) {
@@ -131,8 +130,8 @@ TEST(CliExitCodes, ServeRejectsMalformedRequestNumbersBeforeRunning) {
   const std::string dir = ::testing::TempDir();
   // Request-line numbers parse as whole tokens: a trailing character, a
   // word, or an out-of-range value is an infrastructure error that names
-  // the line and the key, and no run of the batch is submitted — not even
-  // the good line before it.
+  // the line and the key, and so is a key the grammar does not have. No
+  // run of the batch is submitted — not even the good line before it.
   const struct {
     const char* tokens;
     const char* names;
@@ -142,6 +141,7 @@ TEST(CliExitCodes, ServeRejectsMalformedRequestNumbersBeforeRunning) {
       {"priority=99999999999", "run line 2: priority=99999999999 is out of "
                                "range"},
       {"active=1.0", "run line 2: active=1.0 is not a number"},
+      {"kernel=1", "run line 2: unknown key \"kernel\""},
   };
   for (const auto& c : cases) {
     const std::string runs = dir + "/serve_bad_number.runs";

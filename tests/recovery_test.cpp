@@ -256,22 +256,6 @@ TEST(Recovery, CorruptionWithoutRecoveryFailsStop) {
       << "no seed in 1..8 drew a corruption; the fail-stop path is untested";
 }
 
-TEST(Recovery, ChecksumOffSkipsVerification) {
-  // With checksums disabled a clean run completes with zero rejections (the
-  // knob exists for the bench overhead ablation).
-  constexpr int kProcs = 4;
-  CounterApp app(kProcs);
-  const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
-  RunConfig config = app.config(liveness.min_mem());
-  ThreadedOptions options;
-  options.checksum = false;
-  ThreadedExecutor exec(app.plan, config, app.make_init(), app.make_body(),
-                        options);
-  const RunReport r = exec.run();
-  ASSERT_TRUE(r.executable) << r.failure;
-  EXPECT_EQ(r.recovery.checksum_rejections, 0);
-}
-
 // ---- duplicate replay idempotence ------------------------------------------
 
 TEST(Recovery, DuplicateReplayIsIdempotentOnTheGrid) {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "rapid/obs/telemetry.hpp"
 #include "rapid/rt/faults.hpp"
 #include "rapid/svc/service.hpp"
 
@@ -20,6 +21,20 @@ namespace {
 
 void sleep_ms(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+/// Polls until the service's single worker has dequeued a run: the
+/// in-flight gauge of a service bound to `reg` reads 1. False after ~10 s.
+bool wait_until_in_flight(RuntimeService& service,
+                          obs::MetricsRegistry& reg) {
+  const obs::Gauge& in_flight =
+      reg.gauge("rapid_runs_in_flight", "Runs currently executing");
+  for (int polls = 0; polls < 10'000; ++polls) {
+    service.sample_telemetry();
+    if (in_flight.value() == 1.0) return true;
+    sleep_ms(1);
+  }
+  return false;
 }
 
 RunRequest grid_request(const std::string& spec) {
@@ -131,11 +146,14 @@ TEST(Service, BoundedQueueShedsEarliestDeadline) {
   opts.workers = 1;
   opts.queue_limit = 2;
   RuntimeService service(opts);
+  obs::MetricsRegistry reg;
+  service.bind_telemetry(reg);
 
   // Occupy the single worker long enough for the queue games below.
   const std::int64_t a =
       service.submit(grid_request("grid:rows=8,cols=8,procs=4,delay=8000"));
-  sleep_ms(30);  // let the worker dequeue A before filling the queue
+  // A leaves the queue before the queue fills.
+  ASSERT_TRUE(wait_until_in_flight(service, reg));
 
   RunRequest b = grid_request("grid:rows=8,cols=8,procs=4");
   b.deadline_us = 100'000'000;
@@ -171,9 +189,12 @@ TEST(Service, QueuedRunExpiresUndispatched) {
   ServiceOptions opts;
   opts.workers = 1;
   RuntimeService service(opts);
+  obs::MetricsRegistry reg;
+  service.bind_telemetry(reg);
   const std::int64_t a =
       service.submit(grid_request("grid:rows=8,cols=8,procs=4,delay=8000"));
-  sleep_ms(20);  // ensure A holds the worker before B arrives
+  // A holds the worker before B arrives.
+  ASSERT_TRUE(wait_until_in_flight(service, reg));
   RunRequest b = grid_request("grid:rows=8,cols=8,procs=4");
   b.deadline_us = 30'000;  // lapses long before A finishes
   const std::int64_t ib = service.submit(std::move(b));
@@ -208,9 +229,12 @@ TEST(Service, PriorityBackfillsAheadOfFifo) {
   ServiceOptions opts;
   opts.workers = 1;
   RuntimeService service(opts);
+  obs::MetricsRegistry reg;
+  service.bind_telemetry(reg);
   const std::int64_t a =
       service.submit(grid_request("grid:rows=8,cols=8,procs=4,delay=8000"));
-  sleep_ms(25);
+  // low and high both queue behind A.
+  ASSERT_TRUE(wait_until_in_flight(service, reg));
   RunRequest low = grid_request("grid:rows=8,cols=8,procs=4");
   low.priority = 0;
   RunRequest high = grid_request("grid:rows=6,cols=10,procs=4");

@@ -1,26 +1,31 @@
-// The cross-process shm backend, end to end: fork-mode correctness on the
-// seed workloads (exact integer results, correct factor residuals with >= 4
-// worker processes), exec-mode via the rapid_shm_worker binary, and the
-// fail-stop machinery — a seeded process kill in every protocol phase must
-// end in a clean restarted run or a correct-rank ProcFailureReport, never a
-// hang; a wedged-but-alive worker must lapse its lease and be killed.
+// The cross-process shm backend, end to end: correctness on the seed
+// workloads (exact integer results, correct factor residuals with >= 4
+// forked worker processes), no segment outliving a SIGKILLed coordinator,
+// and the fail-stop machinery — a seeded process kill in every protocol
+// phase must end in a clean restarted run or a correct-rank
+// ProcFailureReport, never a hang; a wedged-but-alive worker must lapse its
+// lease and be killed.
 //
 // Excluded under ThreadSanitizer: TSan's runtime does not support the
 // fork()-heavy multiprocess model (children deadlock in the TSan allocator).
 // The CI shm lane runs this file under Release and ASan instead.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <dirent.h>
+#include <poll.h>
 #include <signal.h>
-#include <unistd.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "counter_app.hpp"
 #include "rapid/num/shm_workloads.hpp"
@@ -76,7 +81,7 @@ void dump_proc_failure(const std::string& name,
   }
 }
 
-// ---- fork-mode correctness -------------------------------------------------
+// ---- correctness -----------------------------------------------------------
 
 TEST(ShmTransportRun, Figure2ExactIntegersAcrossProcesses) {
   RAPID_SKIP_UNDER_TSAN();
@@ -170,6 +175,108 @@ TEST(ShmTransportRun, NBodyResidualFourProcesses) {
   run_workload_on_shm("nbody:procs=4,sched=mpo");
 }
 
+// ---- coordinator death -----------------------------------------------------
+
+/// /dev/shm entries carrying `pid` as a "-<pid>-" name component: where a
+/// named POSIX segment created by that process would show up.
+std::vector<std::string> dev_shm_entries_of(pid_t pid) {
+  std::vector<std::string> out;
+  const std::string needle = cat("-", static_cast<long>(pid), "-");
+  DIR* dir = ::opendir("/dev/shm");
+  if (dir == nullptr) return out;
+  while (const dirent* ent = ::readdir(dir)) {
+    const std::string name = ent->d_name;
+    if (name.find(needle) != std::string::npos) out.push_back(name);
+  }
+  ::closedir(dir);
+  return out;
+}
+
+/// Harness process body (exit code = verdict): forks a coordinator that
+/// runs an shm executor with slowed bodies, SIGKILLs it once a worker is
+/// inside a task body, reaps every worker it orphaned (this process is
+/// their subreaper), and then requires that no segment of the coordinator
+/// is left in /dev/shm. Leaked entries are removed after they are counted.
+int sigkill_coordinator_mid_run() {
+  ::setpgid(0, 0);  // the timeout path below kills the whole tree
+  ::prctl(PR_SET_CHILD_SUBREAPER, 1);
+  constexpr int kProcs = 4;
+  GridApp app(/*rows=*/10, /*cols=*/kProcs, kProcs);
+  RunConfig config;
+  config.params = machine::MachineParams::cray_t3d(kProcs);
+  config.active_memory = true;
+  config.capacity_per_proc =
+      sched::analyze_liveness(app.graph, app.schedule).tot_mem();
+  int ready[2];
+  if (::pipe(ready) != 0) return 10;
+  const pid_t coordinator = ::fork();
+  if (coordinator < 0) return 10;
+  if (coordinator == 0) {
+    ::close(ready[0]);
+    const TaskBody base = app.make_body();
+    const int signal_fd = ready[1];
+    const TaskBody slow = [base, signal_fd](graph::TaskId t,
+                                            ObjectResolver& r) {
+      const char byte = 'x';
+      (void)!::write(signal_fd, &byte, 1);  // a worker is mid-run
+      ::usleep(30'000);
+      base(t, r);
+    };
+    try {
+      ThreadedExecutor exec(app.plan, config, app.make_init(), slow,
+                            shm_options());
+      exec.run();
+    } catch (...) {
+    }
+    ::_exit(0);
+  }
+  ::close(ready[1]);
+  pollfd pfd{ready[0], POLLIN, 0};
+  char byte = 0;
+  if (::poll(&pfd, 1, 20'000) != 1 || ::read(ready[0], &byte, 1) != 1) {
+    ::kill(-::getpid(), SIGKILL);
+  }
+  ::kill(coordinator, SIGKILL);
+  // Reap the coordinator and every worker it orphaned; the workers die
+  // with their coordinator. A tree still alive after 30 s is killed, which
+  // fails the test by signal.
+  const Stopwatch sw;
+  for (;;) {
+    const pid_t r = ::waitpid(-1, nullptr, WNOHANG);
+    if (r < 0 && errno == ECHILD) break;
+    if (r == 0) {
+      if (sw.seconds() > 30.0) ::kill(-::getpid(), SIGKILL);
+      ::usleep(5'000);
+    }
+  }
+  const std::vector<std::string> leaked = dev_shm_entries_of(coordinator);
+  for (const std::string& name : leaked) {
+    std::error_code ec;
+    std::filesystem::remove("/dev/shm/" + name, ec);
+  }
+  return leaked.empty() ? 0 : 1;
+}
+
+// A coordinator SIGKILLed mid-run never runs its teardown. Its workers
+// die with it, and its segment with the last process that maps it:
+// nothing the run created may outlive them in /dev/shm.
+TEST(ShmTransportRun, SigkilledCoordinatorLeavesNoSegment) {
+  RAPID_SKIP_UNDER_TSAN();
+  const pid_t harness = ::fork();
+  ASSERT_GE(harness, 0);
+  if (harness == 0) ::_exit(sigkill_coordinator_mid_run());
+  int status = 0;
+  ASSERT_EQ(::waitpid(harness, &status, 0), harness);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "the coordinator never reached a task body, or its workers "
+         "never exited (signal "
+      << (WIFSIGNALED(status) ? WTERMSIG(status) : 0) << ")";
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << (WEXITSTATUS(status) == 1
+              ? "a segment of the killed coordinator remains in /dev/shm"
+              : "the harness could not fork the coordinator");
+}
+
 // ---- trace capacity --------------------------------------------------------
 
 // Worker rings take the coordinator Trace's capacity: a run recording more
@@ -223,55 +330,6 @@ TEST(ShmTrace, WorkerRingOverflowCountsAsDropped) {
               static_cast<std::int64_t>(trace.events(q).size()))
         << "p" << q;
   }
-}
-
-// ---- exec mode (rapid_shm_worker) ------------------------------------------
-
-std::string worker_binary_path() {
-  if (const char* env = std::getenv("RAPID_SHM_WORKER_BIN")) return env;
-  // Default build layout: tests/<binary> and src/rapid/rt/rapid_shm_worker
-  // under the same build root.
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  std::string dir(buf);
-  const std::size_t slash = dir.rfind('/');
-  if (slash == std::string::npos) return {};
-  dir.resize(slash);
-  const std::string candidate = dir + "/../src/rapid/rt/rapid_shm_worker";
-  return ::access(candidate.c_str(), X_OK) == 0 ? candidate : std::string();
-}
-
-void run_spawned_workload(const std::string& bin, const std::string& spec) {
-  auto wl = num::build_shm_workload(spec);
-  RunConfig config;
-  config.params = machine::MachineParams::cray_t3d(wl->plan.num_procs);
-  config.active_memory = true;
-  config.capacity_per_proc = wl->tot_mem;
-  ThreadedOptions options = shm_options();
-  options.shm_launch = ThreadedOptions::ShmLaunch::kSpawn;
-  options.shm_worker_path = bin;
-  options.workload_spec = spec;
-  ThreadedExecutor exec(wl->plan, config, wl->make_init(), wl->make_body(),
-                        options);
-  const RunReport r = exec.run();
-  ASSERT_TRUE(r.executable) << spec << ": " << r.failure;
-  EXPECT_LT(wl->residual(exec), 1e-10) << spec;
-}
-
-TEST(ShmTransportRun, SpawnedWorkersRebuildThePlanFromSpec) {
-  RAPID_SKIP_UNDER_TSAN();
-  const std::string bin = worker_binary_path();
-  if (bin.empty()) {
-    GTEST_SKIP() << "rapid_shm_worker binary not found (set "
-                    "RAPID_SHM_WORKER_BIN)";
-  }
-  run_spawned_workload(bin, "cholesky:grid=10,block=4,procs=4");
-  // A paper stand-in matrix whose scale (0.1 + 0.2) only round-trips in
-  // full precision: the worker re-parses it and must rebuild the same plan.
-  run_spawned_workload(bin,
-                       num::seed_spec("trisolve", 0.1 + 0.2, 6, 4, "mpo"));
 }
 
 // ---- kill sweep ------------------------------------------------------------
@@ -445,9 +503,7 @@ TEST(ShmTransportState, BeatsAndWaitRecordsReadBack) {
   dims.num_data = 4;
   dims.num_tasks = 4;
   dims.heap_bytes = 64;
-  ShmRunSpec spec;
-  spec.config.capacity_per_proc = 64;
-  auto session = ShmSession::create(dims, spec);
+  auto session = ShmSession::create(dims, /*lease_timeout_seconds=*/2.0);
   ShmTransport& st = session->transport();
   st.beat(1, /*state=*/3, /*pos=*/17);
   st.beat_wait(1, /*object=*/2, /*version=*/4, /*flag=*/graph::kInvalidTask,
@@ -476,10 +532,7 @@ TEST(ShmLease, SilentWorkerAgesItsLease) {
   dims.num_data = 2;
   dims.num_tasks = 2;
   dims.heap_bytes = 64;
-  ShmRunSpec spec;
-  spec.config.capacity_per_proc = 64;
-  spec.lease_timeout_seconds = 0.2;
-  auto session = ShmSession::create(dims, spec);
+  auto session = ShmSession::create(dims, /*lease_timeout_seconds=*/0.2);
   ShmTransport& st = session->transport();
   session->spawn_fork([&st](graph::ProcId q) -> int {
     st.beat(q, /*state=*/1, /*pos=*/0);

@@ -421,15 +421,13 @@ TEST(ShmHealth, HeartbeatGoesStaleThenRecoversAcrossKillAndRespawn) {
   dims.num_data = 2;
   dims.num_tasks = 2;
   dims.heap_bytes = 64;
-  rt::ShmRunSpec spec;
-  spec.config.capacity_per_proc = 64;
-  spec.lease_timeout_seconds = 0.2;
+  constexpr double kLeaseTimeoutSeconds = 0.2;
 
   MetricsRegistry reg;
   {
     // Session 1: rank 0 beats once and wedges (alive but silent) — its
     // lease ages past the timeout and the sampler must flag it stale.
-    auto session = rt::ShmSession::create(dims, spec);
+    auto session = rt::ShmSession::create(dims, kLeaseTimeoutSeconds);
     rt::ShmTransport& st = session->transport();
     session->spawn_fork([&st](graph::ProcId q) -> int {
       st.beat(q, /*state=*/1, /*pos=*/0);
@@ -461,7 +459,7 @@ TEST(ShmHealth, HeartbeatGoesStaleThenRecoversAcrossKillAndRespawn) {
   {
     // Session 2 (the respawn): both ranks beat continuously — the same
     // rank index must read fresh and alive again.
-    auto session = rt::ShmSession::create(dims, spec);
+    auto session = rt::ShmSession::create(dims, kLeaseTimeoutSeconds);
     rt::ShmTransport& st = session->transport();
     session->spawn_fork([&st](graph::ProcId q) -> int {
       for (int i = 0; i < 400; ++i) {
@@ -477,7 +475,7 @@ TEST(ShmHealth, HeartbeatGoesStaleThenRecoversAcrossKillAndRespawn) {
       const MetricsSnapshot snap = reg.snapshot();
       const double age =
           rank_gauge(snap, "rapid_rank_heartbeat_age_seconds", "0");
-      fresh = age >= 0.0 && age < spec.lease_timeout_seconds &&
+      fresh = age >= 0.0 && age < kLeaseTimeoutSeconds &&
               rank_gauge(snap, "rapid_rank_alive", "0") == 1.0;
       ::usleep(10'000);
     }

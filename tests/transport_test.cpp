@@ -39,7 +39,7 @@ std::unique_ptr<ShmTransport> make_private(std::int32_t num_procs,
   dims.num_tasks = num_tasks;
   dims.heap_bytes = heap_bytes_per_proc;
   dims.max_pkg_entries = num_data;
-  return ShmTransport::create_private(dims);
+  return ShmTransport::create(dims, /*shared=*/false);
 }
 
 TEST(TransportKindStrings, RoundTripAndRejects) {
@@ -65,15 +65,14 @@ TEST(InProcTransport, PublishOrderingAndFlagVisibility) {
 
   const std::byte payload[8] = {std::byte{0xAB}};
   tp->put(w1, /*dst_off=*/16, payload, sizeof(payload));
-  tp->publish(w1, /*d=*/1, /*version=*/3, /*with_crc=*/true,
-              /*crc=*/0xDEADBEEF, /*seq=*/7);
+  tp->publish(w1, /*d=*/1, /*version=*/3, /*crc=*/0xDEADBEEF, /*seq=*/7);
   EXPECT_EQ(w1.heap[16], std::byte{0xAB});
   EXPECT_EQ(w1.received_version[1].load(), 3);
   EXPECT_EQ(w1.received_crc[1].load(), 0xDEADBEEFu);
   EXPECT_EQ(w1.put_seq[1].load(), 7u);
   // Version publication is a max-merge: a late lower version never
   // regresses the visible one.
-  tp->publish(w1, 1, 2, /*with_crc=*/true, 0x1, 8);
+  tp->publish(w1, 1, 2, 0x1, 8);
   EXPECT_EQ(w1.received_version[1].load(), 3);
 
   tp->raise_flag(w1, /*task=*/1);
@@ -193,7 +192,7 @@ TEST(OneTransport, MailboxSlotsSizedFromPlan) {
   const ShmTransport::Dims dims = ShmTransport::dims_for(app.plan, config);
   EXPECT_GT(dims.max_pkg_entries, 0);
   EXPECT_LT(dims.max_pkg_entries, dims.num_data);
-  auto tp = ShmTransport::create_private(dims);
+  auto tp = ShmTransport::create(dims, /*shared=*/false);
   AddrPackage pkg;
   pkg.reader = 0;
   for (std::int64_t i = 0; i < dims.max_pkg_entries; ++i) {

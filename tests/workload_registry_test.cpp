@@ -12,7 +12,7 @@
 #include <string>
 
 #include "rapid/num/shm_workloads.hpp"
-#include "rapid/rt/shm_transport.hpp"
+#include "rapid/rt/plan.hpp"
 #include "rapid/support/check.hpp"
 
 namespace rapid::num {
@@ -71,9 +71,10 @@ constexpr Golden kSpecs[] = {
 
 // The plans the CLIs and benches run at their CI flags, in the spec each
 // tool now composes from those flags: rapid_check (cholesky/lu, scale 0.4,
-// block 10, p 4), rapid_trace (scale 0.5, block 12, p 8), rapid_verify
-// (scale 0.25, block 6, p 4, MPO), bench_executor (--scale=0.2 --block=8
-// --procs=2,4) and bench_ablation_allocator (--scale=0.25, p 8).
+// block 10, p 4, and its p=2 CI step --scale=0.2 --block=8 --procs=2, kept
+// beside the p=4 plans at the same scale and block), rapid_trace (scale
+// 0.5, block 12, p 8), rapid_verify (scale 0.25, block 6, p 4, MPO) and
+// bench_ablation_allocator (--scale=0.25, p 8).
 constexpr Golden kToolPlans[] = {
     {"cholesky:matrix=bcsstk24,scale=0.4,block=10,procs=4,sched=rcp",
      16371592417107167832ull, 93888, 218400},
@@ -104,6 +105,12 @@ constexpr Golden kToolPlans[] = {
      16317977004003243904ull, 45504, 188176},
     {"trisolve:grid=14,block=6,procs=8,sched=mpo",
      9642476657619159137ull, 15216, 19136},
+    // seed_spec("trisolve", 0.1 + 0.2, 6, 4, "mpo"): a scale that only
+    // round-trips in full precision. The plan cache keys on spec strings,
+    // so rebuilding from the string must give the plan pinned here.
+    {"trisolve:matrix=bcsstk24,scale=0.30000000000000004,block=6,procs=4,"
+     "sched=mpo",
+     15032216324112758236ull, 32592, 47520},
 };
 
 TEST(GoldenPlans, SpecStrings) {
@@ -120,6 +127,9 @@ TEST(GoldenPlans, ToolSpecsAreComposedAsPinned) {
   EXPECT_EQ(seed_spec("trisolve", 0.25, 6, 4, "mpo"),
             "trisolve:matrix=bcsstk24,scale=0.25,block=6,procs=4,sched=mpo");
   EXPECT_EQ(seed_spec("nbody", 0.25, 6, 4, "mpo"), "nbody:procs=4,sched=mpo");
+  EXPECT_EQ(seed_spec("trisolve", 0.1 + 0.2, 6, 4, "mpo"),
+            "trisolve:matrix=bcsstk24,scale=0.30000000000000004,block=6,"
+            "procs=4,sched=mpo");
   EXPECT_EQ(matrix_spec("lu", "goodwin", 0.25 * 0.6, 12, 8, "mpo"),
             "lu:matrix=goodwin,scale=0.15,block=12,procs=8,sched=mpo");
   // Shortest round-trip form, not a fixed precision: re-parsing the spec
