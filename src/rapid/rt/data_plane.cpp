@@ -269,60 +269,29 @@ bool Impl::service_nack(ProcId q, const NackRequest& n) {
   return true;
 }
 
-/// Tracks the wait a blocked processor is in; sends a re-request when the
-/// wait's steady-clock deadline expires, escalates when attempts run out.
-void Impl::note_blocked_wait(ProcId q, const GateRef& gate) {
+/// The re-request deadline of a recovery-enabled REC wait (publish_wait
+/// tracks which wait it is): sends a re-request when the wait's
+/// steady-clock deadline expires. Returns true when the attempts just ran
+/// out; the exhausted wait stays published until it heals or the monitor
+/// escalates it.
+bool Impl::note_blocked_wait(ProcId q, const GateRef& gate) {
   Private& me = priv[q];
   WaitTracker& w = me.wait;
+  WaitRecord& rec = w.rec;
+  if (rec.exhausted) return false;
   const std::int64_t now = now_ns();
-  if (!w.active || w.object != gate.object || w.version != gate.version ||
-      w.flag_task != gate.flag_task) {
-    finish_wait(q);  // a changed gate means the previous one was satisfied
-    w.active = true;
-    w.exhausted = false;
-    w.object = gate.object;
-    w.version = gate.version;
-    w.flag_task = gate.flag_task;
-    w.attempts = 0;
-    w.started_ns = now;
-    w.deadline_ns =
-        sat_add_i64(now, sat_mul_i64(options.retry.delay_us(1), 1000));
-  }
-  if (w.exhausted) return;
   const bool fast = gate.rejected && me.fast_nack;
-  if (!fast && now < w.deadline_ns) return;
+  if (!fast && now < w.deadline_ns) return false;
   me.fast_nack = false;
-  if (w.attempts >= options.retry.max_attempts) {
-    w.exhausted = true;
-    me.retry_log.push_back(w.record(now, /*is_exhausted=*/true));
-    me.exhausted_index = me.retry_log.size() - 1;
-    exhausted_waiters.fetch_add(1, std::memory_order_acq_rel);
-    tp->beat_wait(q, w.object, w.version, w.flag_task, graph::kInvalidProc,
-                  w.attempts, true);
-    control_bell->ring();  // the monitor decides whether to escalate
-    return;
+  if (rec.retry_attempts >= options.retry.max_attempts) {
+    rec.exhausted = true;
+    return true;
   }
-  ++w.attempts;
+  ++rec.retry_attempts;
   w.deadline_ns = sat_add_i64(
-      now, sat_mul_i64(options.retry.delay_us(w.attempts + 1), 1000));
+      now, sat_mul_i64(options.retry.delay_us(rec.retry_attempts + 1), 1000));
   send_nack(q, gate);
-}
-
-/// Closes the current wait episode: records it in the retry history when
-/// re-requests were sent, and heals an exhausted wait that resolved after
-/// all (a slow owner, not a lost message).
-void Impl::finish_wait(ProcId q) {
-  Private& me = priv[q];
-  WaitTracker& w = me.wait;
-  if (!w.active) return;
-  if (w.exhausted) {
-    // Healed after exhausting: the owner was slow, not the message lost.
-    me.retry_log[me.exhausted_index] = w.record(now_ns(), false);
-    exhausted_waiters.fetch_sub(1, std::memory_order_acq_rel);
-  } else if (w.attempts > 0) {
-    me.retry_log.push_back(w.record(now_ns(), false));
-  }
-  w = WaitTracker{};
+  return false;
 }
 
 // ---- RA / CQ ---------------------------------------------------------------
@@ -446,9 +415,6 @@ bool Impl::send_addr_package_blocking(ProcId q, ProcId dest,
   Backoff backoff(*bell, kSpinIters, effective_park_us);
   bool sent = false;
   while (!tp->aborted()) {
-    if (snap_gen.load(std::memory_order_acquire) != me.snap_seen) {
-      publish_snapshot(q, backoff.parks(), backoff.park_timeouts(), dest);
-    }
     const std::uint64_t seen = bell->value();
     if (tp->try_send_addr_package(q, dest, stamped, config.mailbox_slots,
                                   copies)) {
@@ -467,17 +433,10 @@ bool Impl::send_addr_package_blocking(ProcId q, ProcId dest,
     if (service_ra_cq(q)) {
       backoff.reset();
     } else {
-      // Publish the blocked-on-mailbox state (with the full destination)
-      // before parking so a cross-process coordinator can attribute this
-      // wait if the destination's process dies.
-      set_state(q, ProcState::kMapBlocked);
-      tp->beat_wait(q, graph::kInvalidData, -1, graph::kInvalidTask, dest,
-                    0, false);
+      publish_wait(q, ProcState::kMapBlocked, GateRef{}, dest);
       traced_pause(q, backoff, seen);
     }
   }
-  me.park_accum += backoff.parks();
-  me.timeout_accum += backoff.park_timeouts();
   return sent;
 }
 }  // namespace rapid::rt

@@ -3,19 +3,18 @@
 //
 //   data_plane.cpp        put staging/publish, flags, NACK service, RA/CQ,
 //                         address packages
-//   progress_monitor.cpp  snapshot collection, the one monitor loop for
+//   progress_monitor.cpp the snapshot builder, the one monitor loop for
 //                         both transports, deadline/cancel
 //   threaded_executor.cpp the per-rank step loop (shared by in-proc threads
 //                         and forked shm workers) with its readiness checks
-//                         and snapshot answer, setup, run_inproc, the
-//                         public API
+//                         and blocked-wait publication, setup, run_inproc,
+//                         the public API
 //   shm_coordinator.cpp   run_shm, the forked worker's run, proc-failure
 //                         diagnosis, trace merge
 //
 // The readiness checks (task_ready, content_trusted) live with the step
-// loop that calls them on every poll, and with the worker-side snapshot
-// answer, their only other caller: the build has no LTO, so they are
-// inline functions defined in that one translation unit.
+// loop, their only caller, which runs them on every poll: the build has no
+// LTO, so they are inline functions defined in that one translation unit.
 #pragma once
 
 #include <atomic>
@@ -24,7 +23,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -46,9 +44,6 @@ namespace rapid::rt {
 /// processor and builds the wait-for graph (never later than the
 /// watchdog). The monitor heartbeat is a quarter of it.
 inline constexpr double kStallCheckSeconds = 0.5;
-/// How long the monitor waits for in-proc workers to answer a snapshot
-/// request (workers inside a task body are reported from light state).
-inline constexpr double kSnapshotWaitSeconds = 0.25;
 /// Blocked-state backoff: iterations of cheap spinning (cpu_relax, then
 /// yield) before a blocked processor parks on the progress bell.
 inline constexpr std::int32_t kSpinIters = 64;
@@ -96,38 +91,24 @@ struct ThreadedExecutor::Impl {
   /// wall-clock jumps can neither starve nor spuriously fire them.
   const double effective_watchdog;
 
-  /// Identity + deadline of the wait a processor is currently blocked in
-  /// (worker-private). Deadlines are monotonic (now_ns) and grow per the
-  /// RetryPolicy; identity changes reset the attempt count (a changed gate
-  /// means the previous one was satisfied — progress, not a retry).
+  /// The wait a processor is blocked in (worker-private); `rec` is what
+  /// it publishes into its control slot at every blocked pause. A wait is
+  /// its state, position and cause; a changed identity starts a new wait
+  /// (the previous one was satisfied — progress, not a retry) and resets
+  /// the attempt count. A recovery-enabled REC wait also carries its
+  /// re-request deadline, monotonic (now_ns) and growing per the
+  /// RetryPolicy.
   struct WaitTracker {
-    bool active = false;
-    bool exhausted = false;
-    DataId object = graph::kInvalidData;
-    std::int32_t version = -1;
-    TaskId flag_task = graph::kInvalidTask;
-    std::int32_t attempts = 0;
-    std::int64_t started_ns = 0;
+    ProcState state = ProcState::kStart;
+    std::int32_t pos = -1;
+    WaitRecord rec;
     std::int64_t deadline_ns = 0;
-
-    /// This wait as a retry-history entry, waited until `now`.
-    RetryRecord record(std::int64_t now, bool is_exhausted) const {
-      RetryRecord r;
-      r.object = object;
-      r.version = version;
-      r.flag_task = flag_task;
-      r.attempts = attempts;
-      r.waited_us = (now - started_ns) / 1000;
-      r.exhausted = is_exhausted;
-      return r;
-    }
   };
 
   /// The first unmet gate of a task, as seen by its processor right now.
   struct GateRef {
     DataId object = graph::kInvalidData;
     std::int32_t version = -1;
-    std::int32_t have = -1;
     TaskId flag_task = graph::kInvalidTask;
     /// The version arrived but its checksum was rejected: the wait is for a
     /// resend, and the first re-request goes out without waiting for the
@@ -196,20 +177,14 @@ struct ThreadedExecutor::Impl {
     /// suppression (per source).
     std::vector<std::uint32_t> pkg_seq_sent;
     std::vector<std::uint32_t> pkg_seq_seen;
-    /// Bounded re-request bookkeeping.
+    /// The blocked wait and its bounded re-request bookkeeping.
     WaitTracker wait;
-    std::vector<RetryRecord> retry_log;
-    std::size_t exhausted_index = 0;  // retry_log slot of the exhausted wait
-    /// END-state bookkeeping and stall-snapshot plumbing (worker-private).
+    /// END-state bookkeeping (worker-private).
     bool counted_quiescent = false;
-    std::optional<Backoff> backoff;  // the worker loop's backoff
     /// Last protocol state recorded to the tracer (change-only recording);
     /// 255 = none yet. Worker-private like everything else here.
     std::uint8_t traced_state = 255;
-    std::uint64_t snap_seen = 0;     // last snapshot generation served
     std::int64_t addr_pkgs_sent = 0;  // deterministic per-proc ordinal
-    std::int64_t park_accum = 0;      // parks from finished MAP-send waits
-    std::int64_t timeout_accum = 0;
     /// Process-kill fault bookkeeping: deterministic per-(rank, phase)
     /// entry ordinals (indexed by FaultPlan::kKillRec..kKillMap), and the
     /// last position whose REC entry was counted (REC counts positions,
@@ -259,21 +234,6 @@ struct ThreadedExecutor::Impl {
   /// Reset when the shm workers are spawned: the lease grace period of a
   /// rank that has not beaten yet.
   Stopwatch since_spawn;
-
-  /// Cooperative stall-snapshot handshake (in-proc): the monitor bumps
-  /// snap_gen; each worker notices at the top of its protocol loop (or
-  /// inside a blocked MAP send), publishes its own private state into
-  /// snap_slots, and acks. The monitor never touches worker-private data.
-  std::atomic<std::uint64_t> snap_gen{0};
-  std::mutex snap_m;
-  std::vector<ProcSnapshot> snap_slots;
-  std::atomic<std::int32_t> snap_acked{0};
-
-  /// In-proc waiters whose bounded re-requests ran out and are still
-  /// unhealed. The monitor escalates only when this is nonzero AND global
-  /// progress has stopped — exhaustion against a merely-slow owner heals
-  /// itself and decrements before the stall window closes.
-  std::atomic<std::int32_t> exhausted_waiters{0};
 
   Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
        TaskBody body_, ThreadedOptions options_);
@@ -344,15 +304,13 @@ struct ThreadedExecutor::Impl {
   }
   void send_nack(ProcId q, const GateRef& gate);
   bool service_nack(ProcId q, const NackRequest& n);
-  void note_blocked_wait(ProcId q, const GateRef& gate);
-  void finish_wait(ProcId q);
+  bool note_blocked_wait(ProcId q, const GateRef& gate);
   bool service_ra_cq(ProcId q);
   bool send_addr_package_blocking(ProcId q, ProcId dest,
                                   const AddrPackage& pkg);
 
   // ---- progress monitor (progress_monitor.cpp) -------------------------
-  ProcSnapshot light_snapshot(ProcId q) const;
-  std::vector<ProcSnapshot> cooperative_snapshots();
+  ProcSnapshot snapshot(ProcId q, std::int64_t now) const;
   StallReport collect_and_diagnose(double stalled_seconds);
   bool some_wait_exhausted() const;
   bool check_cancelled();
@@ -363,8 +321,8 @@ struct ThreadedExecutor::Impl {
   class Resolver;
   inline bool content_trusted(ProcId q, DataId d, GateRef* gate);
   inline bool task_ready(ProcId q, TaskId t, GateRef* gate = nullptr);
-  void publish_snapshot(ProcId q, std::int64_t extra_parks,
-                        std::int64_t extra_timeouts, ProcId map_blocked_dest);
+  void publish_wait(ProcId q, ProcState s, const GateRef& gate,
+                    ProcId map_dest);
   inline void maybe_kill(ProcId q, std::int32_t phase);
   void complete_task(ProcId q, TaskId t);
   inline void execute_task(ProcId q, TaskId t, Resolver& resolver);

@@ -102,7 +102,7 @@ struct FaultPlan {
 
   /// Induced failure — swallow every re-request (NACK), modeling lost
   /// recovery traffic: bounded retries exhaust and must escalate with the
-  /// retry history in the StallReport.
+  /// exhausted wait in the StallReport.
   bool drop_nacks = false;
 
   /// Induced failure — process kill (multi-process/shm transport only):

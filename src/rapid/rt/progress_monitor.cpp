@@ -1,12 +1,9 @@
 // The progress monitor: one loop for both transports. It decides whether a
 // stalled run is slow, deadlocked, out of retries or dead, and it enforces
-// the attempt deadline and cancel(). Three inputs differ by backend, chosen
-// by whether a shm session exists:
-//   - snapshots: the cooperative handshake in-proc, light state on shm;
-//   - retry exhaustion: exhausted_waiters in-proc, the published light
-//     state (retries_exhausted) on shm;
-//   - liveness: on shm only, waitpid reaping and lease lapse
-//     (shm_coordinator.cpp), which produce the ProcFailureReport.
+// the attempt deadline and cancel(). Stall snapshots and retry exhaustion
+// are read from what every rank publishes in the segment, the same on both
+// mappings. Only liveness differs by backend: on shm, waitpid reaping and
+// lease lapse (shm_coordinator.cpp) produce the ProcFailureReport.
 #include <algorithm>
 #include <vector>
 
@@ -17,12 +14,14 @@ namespace rapid::rt {
 
 using Impl = ThreadedExecutor::Impl;
 
-// ---- stall snapshots (monitor side) ----------------------------------------
+// ---- stall snapshots --------------------------------------------------------
 
-/// A snapshot synthesized from q's always-published light state, for a
-/// rank that cannot answer the cooperative handshake: inside a task body,
-/// unwound, or in another process.
-ProcSnapshot Impl::light_snapshot(ProcId q) const {
+/// Rank q's snapshot at `now`, built from the segment without q's
+/// cooperation: the state and position of its last beat and, for a blocked
+/// state, the wait record and suspended-send counts of its last blocked
+/// pause, plus the version its window holds of the awaited object and its
+/// mailbox occupancy.
+ProcSnapshot Impl::snapshot(ProcId q, std::int64_t now) const {
   const LightState l = tp->light(q);
   ProcSnapshot s;
   s.proc = q;
@@ -32,64 +31,42 @@ ProcSnapshot Impl::light_snapshot(ProcId q) const {
   if (s.pos >= 0 && s.pos < s.order_size) {
     s.current_task = plan.procs[q].order[s.pos];
   }
+  s.mailbox_packages = tp->mailbox_occupancy(q);
+  if (!is_blocked(s.state)) return s;
+  const WaitRecord& w = l.wait;
   if (s.state == ProcState::kRecBlocked) {
-    s.waiting_object = l.waiting_object;
-    s.waiting_version = l.waiting_version;
-    s.waiting_flag_task = l.waiting_flag;
+    s.waiting_object = w.object;
+    s.waiting_version = w.version;
+    s.waiting_flag_task = w.flag;
+    if (w.object != graph::kInvalidData) {
+      s.have_version =
+          win[static_cast<std::size_t>(q)].received_version[w.object].load(
+              std::memory_order_acquire);
+    }
   } else if (s.state == ProcState::kMapBlocked) {
-    s.mailbox_full_dest = l.map_dest;
+    s.mailbox_full_dest = w.map_dest;
   }
-  s.retry_attempts = l.retry_attempts;
+  s.suspended_by_dest.resize(static_cast<std::size_t>(plan.num_procs));
+  for (ProcId r = 0; r < plan.num_procs; ++r) {
+    const std::int64_t n = tp->suspended(q, r);
+    s.suspended_by_dest[static_cast<std::size_t>(r)] = n;
+    s.suspended_sends += n;
+  }
+  s.retry.object = w.object;
+  s.retry.version = w.version;
+  s.retry.flag_task = w.flag;
+  s.retry.attempts = w.retry_attempts;
+  s.retry.exhausted = w.exhausted;
+  s.retry.waited_us = std::max<std::int64_t>(now - w.since_ns, 0) / 1000;
   return s;
 }
 
-/// In-proc snapshot handshake: request snapshots and wait for the
-/// responsive workers. Slots left undetailed belong to workers inside task
-/// bodies (or unwound). Deliberately rings no doorbell: bell.value() is the
-/// progress signal the caller re-checks to know the collected snapshots
-/// describe one frozen instant.
-std::vector<ProcSnapshot> Impl::cooperative_snapshots() {
-  {
-    std::lock_guard<std::mutex> lock(snap_m);
-    snap_slots.assign(static_cast<std::size_t>(plan.num_procs),
-                      ProcSnapshot{});
-  }
-  snap_acked.store(0, std::memory_order_relaxed);
-  snap_gen.fetch_add(1, std::memory_order_release);
-  // Parked workers wake within one park timeout and notice the request;
-  // no ring needed (and a ring would corrupt the progress signal).
-  const std::int64_t deadline_us = std::max<std::int64_t>(
-      static_cast<std::int64_t>(kSnapshotWaitSeconds * 1e6),
-      4 * effective_park_us);
-  Stopwatch sw;
-  for (;;) {
-    int expected = 0;
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      const auto st = static_cast<ProcState>(tp->light(q).state);
-      // kExe workers are inside a body and cannot answer; kFailed
-      // workers have unwound. Everyone else loops and will respond.
-      if (st != ProcState::kExe && st != ProcState::kFailed) ++expected;
-    }
-    if (snap_acked.load(std::memory_order_acquire) >= expected) break;
-    if (sw.seconds() * 1e6 > static_cast<double>(deadline_us)) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  std::lock_guard<std::mutex> lock(snap_m);
-  return snap_slots;
-}
-
-/// Snapshots every processor and runs the wait-for-graph analysis. Shm
-/// workers live in other processes, so their snapshots come from the
-/// beat/beat_wait publications in the control segment.
+/// Snapshots every processor and runs the wait-for-graph analysis.
 StallReport Impl::collect_and_diagnose(double stalled_seconds) {
-  std::vector<ProcSnapshot> snaps =
-      session ? std::vector<ProcSnapshot>(
-                    static_cast<std::size_t>(plan.num_procs))
-              : cooperative_snapshots();
-  for (ProcId q = 0; q < plan.num_procs; ++q) {
-    ProcSnapshot& s = snaps[static_cast<std::size_t>(q)];
-    if (!s.detailed) s = light_snapshot(q);
-  }
+  const std::int64_t now = now_ns();
+  std::vector<ProcSnapshot> snaps;
+  snaps.reserve(static_cast<std::size_t>(plan.num_procs));
+  for (ProcId q = 0; q < plan.num_procs; ++q) snaps.push_back(snapshot(q, now));
   StallReport report = diagnose_stall(plan, std::move(snaps),
                                       stalled_seconds, tp->failure_texts());
   report.attempt_deadline_us = options.attempt_deadline_us;
@@ -99,12 +76,11 @@ StallReport Impl::collect_and_diagnose(double stalled_seconds) {
 /// Whether some waiter ran out of bounded re-requests and is still
 /// blocked on that wait.
 bool Impl::some_wait_exhausted() const {
-  if (!session) return exhausted_waiters.load(std::memory_order_acquire) > 0;
   for (ProcId q = 0; q < plan.num_procs; ++q) {
     const LightState l = tp->light(q);
-    // The flag is republished with every blocked beat, so it is current
-    // only while the rank is still REC-blocked.
-    if (l.retries_exhausted &&
+    // The record is current only while the rank is still REC-blocked: a
+    // healed wait moves the rank on without republishing it.
+    if (l.wait.exhausted &&
         static_cast<ProcState>(l.state) == ProcState::kRecBlocked) {
       return true;
     }

@@ -11,15 +11,18 @@ namespace rapid::rt {
 
 namespace {
 
+/// Growth of the restart backoff per further restart.
+constexpr double kRestartBackoffMultiplier = 2.0;
+
 /// Backoff before restart attempt `attempt` (2-based; attempt 2 waits the
-/// base, attempt 3 the base * multiplier, ...). Saturates instead of
-/// overflowing for absurd multiplier products.
+/// base, attempt 3 twice the base, ...). Saturates instead of overflowing
+/// for absurd attempt counts.
 std::int64_t restart_wait_us(const RunRecoveryOptions& ropts,
                              std::int32_t attempt) {
   if (ropts.restart_backoff_us <= 0 || attempt < 2) return 0;
   double wait = static_cast<double>(ropts.restart_backoff_us);
   for (std::int32_t k = 2; k < attempt; ++k) {
-    wait *= ropts.restart_backoff_multiplier;
+    wait *= kRestartBackoffMultiplier;
     if (wait > 1e15) return static_cast<std::int64_t>(1e15);
   }
   return static_cast<std::int64_t>(wait);

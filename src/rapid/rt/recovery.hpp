@@ -26,13 +26,11 @@ struct RunRecoveryOptions {
   /// Total run() attempts, including the first (1 = no restart, identical
   /// to calling ThreadedExecutor::run() directly).
   std::int32_t max_run_attempts = 3;
-  /// Pause before restarting after a failed attempt (µs; 0 = immediate,
-  /// the pre-PR behavior). Grows by restart_backoff_multiplier per further
-  /// restart, so a run tripping over a persistent environmental fault backs
-  /// off instead of hammering: attempt k (k >= 2) waits
-  /// restart_backoff_us * multiplier^(k-2).
+  /// Pause before restarting after a failed attempt (µs; 0 = immediate).
+  /// Doubles per further restart, so a run tripping over a persistent
+  /// environmental fault backs off instead of hammering: attempt k (k >= 2)
+  /// waits restart_backoff_us * 2^(k-2).
   std::int64_t restart_backoff_us = 0;
-  double restart_backoff_multiplier = 2.0;
   /// When true, a run that still fails after the attempt cap — or is
   /// cancelled — does not rethrow: the RecoveryRun comes back with
   /// failed == true, the failing attempt's partial report, and the executor
@@ -88,7 +86,7 @@ struct RecoveryRun {
 /// attempt's exception (or returns it structured in capture_failure mode).
 /// A RunCancelledError is never retried: cancellation is a caller decision,
 /// not a fault, and a lapsed deadline only lapses further on a restart.
-/// Restarts wait restart_backoff_us (growing by the multiplier) first.
+/// Restarts wait restart_backoff_us (doubling per restart) first.
 RecoveryRun run_with_recovery(const RunPlan& plan, const RunConfig& config,
                               ObjectInit init, TaskBody body,
                               ThreadedOptions options = {},

@@ -41,17 +41,17 @@ void Impl::declare_dead(ProcId dead, const char* detected_by, int sig,
     OrphanedWait w;
     w.waiter = q;
     if (st == ProcState::kRecBlocked) {
-      if (l.waiting_object != graph::kInvalidData &&
-          plan.graph->data(l.waiting_object).owner == dead) {
-        w.object = l.waiting_object;
-        w.version = l.waiting_version;
+      if (l.wait.object != graph::kInvalidData &&
+          plan.graph->data(l.wait.object).owner == dead) {
+        w.object = l.wait.object;
+        w.version = l.wait.version;
         r->orphaned.push_back(w);
-      } else if (l.waiting_flag != graph::kInvalidTask &&
-                 plan.schedule.proc_of_task[l.waiting_flag] == dead) {
-        w.flag_task = l.waiting_flag;
+      } else if (l.wait.flag != graph::kInvalidTask &&
+                 plan.schedule.proc_of_task[l.wait.flag] == dead) {
+        w.flag_task = l.wait.flag;
         r->orphaned.push_back(w);
       }
-    } else if (st == ProcState::kMapBlocked && l.map_dest == dead) {
+    } else if (st == ProcState::kMapBlocked && l.wait.map_dest == dead) {
       w.map_blocked = true;
       r->orphaned.push_back(w);
     }

@@ -41,7 +41,7 @@ struct ShmHeader {
 static_assert(std::is_trivially_destructible_v<ShmHeader>);
 
 /// One rank's control record: heartbeat lease, light protocol state, the
-/// blocked-wait record the coordinator diagnoses corpses from, the error
+/// blocked-wait record the stall and dead-rank diagnoses read, the error
 /// slot, and the end-of-run counters. error_text is written before the
 /// has_error release store, so a reader that observes has_error == 1 sees
 /// the full text. The monitor's slot (index num_procs) keeps its text in
@@ -59,6 +59,7 @@ struct alignas(64) ShmRankCtl {
   std::atomic<std::int32_t> wait_map_dest;
   std::atomic<std::int32_t> wait_retries;
   std::atomic<std::uint8_t> wait_exhausted;
+  std::atomic<std::int64_t> wait_since_ns;
   char error_text[448];
   std::atomic<std::int64_t> counters[kNumRunCounters];
   /// Running recovery totals mirrored by the worker mid-run (the
@@ -139,6 +140,7 @@ AddrPackage deserialize_package(const std::byte* slot) {
 struct ShmTransport::Layout {
   ShmHeader* hdr = nullptr;
   ShmRankCtl* ctl = nullptr;  // num_procs + 1 slots (last = coordinator)
+  std::atomic<std::int32_t>* susp = nullptr;  // [rank * p + dest]
   std::byte* heaps = nullptr;
   std::atomic<std::int32_t>* versions = nullptr;
   std::atomic<std::uint32_t>* crcs = nullptr;
@@ -183,6 +185,8 @@ struct ShmTransport::Layout {
     const std::int64_t ctl_off = off;
     off = align_up(off + (p + 1) * static_cast<std::int64_t>(sizeof(ShmRankCtl)),
                    64);
+    const std::int64_t susp_off = off;
+    off = align_up(off + std::int64_t{p} * p * 4, 64);
     const std::int64_t heap_off = off;
     off = align_up(off + p * dims.heap_bytes, 64);
     const std::int64_t ver_off = off;
@@ -202,6 +206,7 @@ struct ShmTransport::Layout {
     if (base != nullptr) {
       l.hdr = reinterpret_cast<ShmHeader*>(base);
       l.ctl = reinterpret_cast<ShmRankCtl*>(base + ctl_off);
+      l.susp = reinterpret_cast<std::atomic<std::int32_t>*>(base + susp_off);
       l.heaps = base + heap_off;
       l.versions = reinterpret_cast<std::atomic<std::int32_t>*>(base + ver_off);
       l.crcs = reinterpret_cast<std::atomic<std::uint32_t>*>(base + crc_off);
@@ -280,6 +285,9 @@ std::unique_ptr<ShmTransport> ShmTransport::create(const Dims& dims,
   new (&hdr->first_error_rank) std::atomic<std::int32_t>{-1};
 
   for (std::int32_t q = 0; q <= l.p; ++q) new (&l.ctl[q]) ShmRankCtl{};
+  for (std::int64_t i = 0; i < std::int64_t{l.p} * l.p; ++i) {
+    new (&l.susp[i]) std::atomic<std::int32_t>{0};
+  }
   for (std::int64_t i = 0; i < l.p * dims.num_data; ++i) {
     new (&l.versions[i]) std::atomic<std::int32_t>{-1};
     new (&l.crcs[i]) std::atomic<std::uint32_t>{0};
@@ -364,7 +372,7 @@ void ShmTransport::drain_addr_packages(ProcId me,
   ShmSpinLock::release(mh->lock);
 }
 
-std::int64_t ShmTransport::mailbox_occupancy(ProcId me) {
+std::int64_t ShmTransport::mailbox_occupancy(ProcId me) const {
   std::int64_t total = 0;
   for (std::int32_t src = 0; src < l_->p; ++src) {
     total += l_->mail_lane(me, src)->count.load(std::memory_order_relaxed);
@@ -477,18 +485,25 @@ void ShmTransport::beat(ProcId q, std::uint8_t state, std::int32_t pos) {
   if (seg_.shared()) c.lease_ns.store(now_ns(), std::memory_order_release);
 }
 
-void ShmTransport::beat_wait(ProcId q, DataId object, std::int32_t version,
-                             TaskId flag, ProcId map_dest,
-                             std::int32_t retry_attempts, bool exhausted) {
-  if (!seg_.shared()) return;
+void ShmTransport::beat_wait(ProcId q, std::uint8_t state, std::int32_t pos,
+                             const WaitRecord& wait) {
   ShmRankCtl& c = l_->ctl[q];
-  c.wait_obj.store(object, std::memory_order_relaxed);
-  c.wait_ver.store(version, std::memory_order_relaxed);
-  c.wait_flag.store(flag, std::memory_order_relaxed);
-  c.wait_map_dest.store(map_dest, std::memory_order_relaxed);
-  c.wait_retries.store(retry_attempts, std::memory_order_relaxed);
-  c.wait_exhausted.store(exhausted ? 1 : 0, std::memory_order_release);
-  c.lease_ns.store(now_ns(), std::memory_order_release);
+  c.wait_obj.store(wait.object, std::memory_order_relaxed);
+  c.wait_ver.store(wait.version, std::memory_order_relaxed);
+  c.wait_flag.store(wait.flag, std::memory_order_relaxed);
+  c.wait_map_dest.store(wait.map_dest, std::memory_order_relaxed);
+  c.wait_retries.store(wait.retry_attempts, std::memory_order_relaxed);
+  c.wait_exhausted.store(wait.exhausted ? 1 : 0, std::memory_order_relaxed);
+  c.wait_since_ns.store(wait.since_ns, std::memory_order_relaxed);
+  beat(q, state, pos);
+}
+
+void ShmTransport::set_suspended(ProcId q, ProcId dest, std::int32_t count) {
+  l_->susp[q * l_->p + dest].store(count, std::memory_order_relaxed);
+}
+
+std::int32_t ShmTransport::suspended(ProcId q, ProcId dest) const {
+  return l_->susp[q * l_->p + dest].load(std::memory_order_acquire);
 }
 
 LightState ShmTransport::light(ProcId q) const {
@@ -496,15 +511,14 @@ LightState ShmTransport::light(ProcId q) const {
   LightState s;
   s.state = c.state.load(std::memory_order_acquire);
   s.pos = c.pos.load(std::memory_order_acquire);
-  if (!seg_.shared()) return s;  // no lease or wait record on a private mapping
   s.lease_ns = c.lease_ns.load(std::memory_order_acquire);
-  s.waiting_object = c.wait_obj.load(std::memory_order_acquire);
-  s.waiting_version = c.wait_ver.load(std::memory_order_acquire);
-  s.waiting_flag = c.wait_flag.load(std::memory_order_acquire);
-  s.map_dest = c.wait_map_dest.load(std::memory_order_acquire);
-  s.retry_attempts = c.wait_retries.load(std::memory_order_acquire);
-  s.retries_exhausted =
-      c.wait_exhausted.load(std::memory_order_acquire) != 0;
+  s.wait.object = c.wait_obj.load(std::memory_order_acquire);
+  s.wait.version = c.wait_ver.load(std::memory_order_acquire);
+  s.wait.flag = c.wait_flag.load(std::memory_order_acquire);
+  s.wait.map_dest = c.wait_map_dest.load(std::memory_order_acquire);
+  s.wait.retry_attempts = c.wait_retries.load(std::memory_order_acquire);
+  s.wait.exhausted = c.wait_exhausted.load(std::memory_order_acquire) != 0;
+  s.wait.since_ns = c.wait_since_ns.load(std::memory_order_acquire);
   return s;
 }
 

@@ -4,6 +4,7 @@
 //
 //   [ ShmHeader         | bells, abort, quiescent, first failure slot    ]
 //   [ ShmRankCtl x p+1  | lease, state/pos, wait record, error, counters ]
+//   [ suspended         | p x p       atomic<int32>                    ]
 //   [ heap windows x p  | capacity_per_proc bytes each                   ]
 //   [ received_version  | p x num_data  atomic<int32>                    ]
 //   [ received_crc      | p x num_data  atomic<uint32>                   ]
@@ -18,12 +19,13 @@
 // runs (kShm) build it in a shared anonymous mapping: the coordinator (the
 // process that called ThreadedExecutor::run) maps it, forks one worker per
 // rank — each inherits the mapping, the plan, the task bodies and the run
-// parameters — and monitors: waitpid reaping, lease lapses, the light
-// status slots, and the global watchdog. Workers run the unchanged
-// protocol loop against this transport and _exit with kShmWorkerClean /
-// kShmWorkerAborted / kShmWorkerFailed. Only a shared segment stamps
-// heartbeat leases and wait records: a thread cannot die alone, and the
-// in-proc monitor diagnoses from cooperative snapshots instead.
+// parameters — and monitors: waitpid reaping, lease lapses, and the
+// global watchdog. Workers run the unchanged protocol loop against this
+// transport and _exit with kShmWorkerClean / kShmWorkerAborted /
+// kShmWorkerFailed. On both mappings every rank publishes its state, its
+// wait record and its suspended-send counts into the segment, and the
+// monitor builds every stall snapshot from them. Only a shared segment
+// stamps heartbeat leases: a thread cannot die alone.
 #pragma once
 
 #include <cstring>
@@ -75,9 +77,6 @@ class ShmTransport {
   static std::unique_ptr<ShmTransport> create(const Dims& dims, bool shared);
   ~ShmTransport();
 
-  TransportKind kind() const {
-    return seg_.shared() ? TransportKind::kShm : TransportKind::kInProc;
-  }
   /// True when peers are OS processes (enables lease bookkeeping and the
   /// process-kill fault class).
   bool cross_process() const { return seg_.shared(); }
@@ -129,7 +128,7 @@ class ShmTransport {
   /// and clears the pending count.
   void drain_addr_packages(ProcId me, std::vector<AddrPackage>* out);
   /// Occupancy across all source lanes (diagnostics only).
-  std::int64_t mailbox_occupancy(ProcId me);
+  std::int64_t mailbox_occupancy(ProcId me) const;
 
   // -- NACK channel --------------------------------------------------------
 
@@ -179,12 +178,15 @@ class ShmTransport {
   /// Heartbeat: publishes q's protocol state and position (release) and,
   /// on a shared segment, refreshes q's lease.
   void beat(ProcId q, std::uint8_t state, std::int32_t pos);
-  /// Publishes what q is blocked on, for coordinator-side diagnosis of
-  /// peers that can no longer answer snapshot requests. Shared segments
-  /// only: thread ranks answer cooperative snapshots instead.
-  void beat_wait(ProcId q, DataId object, std::int32_t version, TaskId flag,
-                 ProcId map_dest, std::int32_t retry_attempts,
-                 bool exhausted);
+  /// Blocked-pause heartbeat: publishes what q is blocked on, then its
+  /// state and position (release, so a reader that sees the blocked state
+  /// sees this wait record), and on a shared segment refreshes its lease.
+  void beat_wait(ProcId q, std::uint8_t state, std::int32_t pos,
+                 const WaitRecord& wait);
+  /// Rank q's count of sends suspended towards `dest` (relaxed; the
+  /// beat_wait that follows publishes it).
+  void set_suspended(ProcId q, ProcId dest, std::int32_t count);
+  std::int32_t suspended(ProcId q, ProcId dest) const;
   /// Publishes q's running recovery-traffic totals (NACKs sent, content
   /// resends) so an external sampler can read per-rank health *during* a
   /// run (distinct from worker_counters, which is valid only after

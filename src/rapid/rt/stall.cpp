@@ -20,12 +20,12 @@ const char* to_string(ProcState state) {
   return "?";
 }
 
-namespace {
-
 bool is_blocked(ProcState s) {
   return s == ProcState::kRecBlocked || s == ProcState::kMapBlocked ||
          s == ProcState::kEndDrain;
 }
+
+namespace {
 
 std::string object_name(const RunPlan& plan, DataId d) {
   return d == graph::kInvalidData ? std::string("?")
@@ -58,7 +58,7 @@ std::vector<WaitEdge> build_wait_edges(
         e.to = plan.graph->data(s.waiting_object).owner;
         e.kind = WaitEdge::Kind::kContent;
         e.object = s.waiting_object;
-        e.retries = s.retry_attempts;
+        e.retries = s.retry.attempts;
         e.reason = cat("task ", task_name(plan, s.current_task),
                        " needs version ", s.waiting_version, " of ",
                        object_name(plan, s.waiting_object), " (has ",
@@ -72,7 +72,7 @@ std::vector<WaitEdge> build_wait_edges(
         e.from = s.proc;
         e.to = task_proc[s.waiting_flag_task];
         e.kind = WaitEdge::Kind::kFlag;
-        e.retries = s.retry_attempts;
+        e.retries = s.retry.attempts;
         e.reason = cat("task ", task_name(plan, s.current_task),
                        " needs the completion flag of ",
                        task_name(plan, s.waiting_flag_task), " from p", e.to);
@@ -164,9 +164,7 @@ StallReport diagnose_stall(const RunPlan& plan,
   report.cycle = find_cycle(plan.num_procs, report.edges);
   report.genuine_deadlock = !report.cycle.empty();
   for (const ProcSnapshot& s : report.procs) {
-    for (const RetryRecord& r : s.retry_history) {
-      if (r.exhausted) report.retries_exhausted = true;
-    }
+    if (s.retry.exhausted) report.retries_exhausted = true;
   }
   if (!report.genuine_deadlock) {
     // A wait pointed at an already-quiescent processor can never be
@@ -203,15 +201,14 @@ std::string StallReport::summary() const {
   }
   for (const ProcSnapshot& s : procs) {
     out += cat("  p", s.proc, " [", to_string(s.state), "] pos ", s.pos, "/",
-               s.order_size);
-    if (!s.detailed) {
-      out += " (light snapshot: worker busy in task body)\n";
-      continue;
+               s.order_size, ", suspended=", s.suspended_sends,
+               ", mailbox=", s.mailbox_packages);
+    if (is_blocked(s.state)) {
+      out += cat(", waited ", s.retry.waited_us, " us");
     }
-    out += cat(", suspended=", s.suspended_sends,
-               ", mailbox=", s.mailbox_packages, ", parks=", s.parks, "(",
-               s.park_timeouts, " timeouts)\n");
-    for (const RetryRecord& r : s.retry_history) {
+    out += "\n";
+    const RetryRecord& r = s.retry;
+    if (r.attempts > 0 || r.exhausted) {
       out += cat("    retry: ",
                  r.object != graph::kInvalidData
                      ? cat("object ", r.object, " v", r.version)
@@ -243,7 +240,6 @@ JsonValue StallReport::to_json() const {
     JsonValue p = JsonValue::object();
     p["proc"] = s.proc;
     p["state"] = to_string(s.state);
-    p["detailed"] = s.detailed;
     p["pos"] = s.pos;
     p["order_size"] = s.order_size;
     p["current_task"] = s.current_task;
@@ -254,26 +250,14 @@ JsonValue StallReport::to_json() const {
     p["mailbox_full_dest"] = s.mailbox_full_dest;
     p["suspended_sends"] = s.suspended_sends;
     p["mailbox_packages"] = s.mailbox_packages;
-    p["parks"] = s.parks;
-    p["park_timeouts"] = s.park_timeouts;
-    p["retry_attempts"] = s.retry_attempts;
-    JsonValue retries = JsonValue::array();
-    for (const RetryRecord& r : s.retry_history) {
-      JsonValue rr = JsonValue::object();
-      rr["object"] = r.object;
-      rr["version"] = r.version;
-      rr["flag_task"] = r.flag_task;
-      rr["attempts"] = r.attempts;
-      rr["waited_us"] = r.waited_us;
-      rr["exhausted"] = r.exhausted;
-      retries.push_back(std::move(rr));
-    }
-    p["retry_history"] = std::move(retries);
-    JsonValue epochs = JsonValue::array();
-    for (const std::uint32_t e : s.addr_epoch) {
-      epochs.push_back(static_cast<std::int64_t>(e));
-    }
-    p["addr_epoch"] = std::move(epochs);
+    JsonValue rr = JsonValue::object();
+    rr["object"] = s.retry.object;
+    rr["version"] = s.retry.version;
+    rr["flag_task"] = s.retry.flag_task;
+    rr["attempts"] = s.retry.attempts;
+    rr["waited_us"] = s.retry.waited_us;
+    rr["exhausted"] = s.retry.exhausted;
+    p["retry"] = std::move(rr);
     JsonValue susp = JsonValue::array();
     for (const std::int64_t n : s.suspended_by_dest) susp.push_back(n);
     p["suspended_by_dest"] = std::move(susp);

@@ -2,10 +2,11 @@
 // suspects a stall it snapshots every processor's protocol state, builds
 // the processor-level wait-for graph, and either names the cycle (genuine
 // deadlock — Theorem 1's preconditions were violated) or reports "slow
-// progress" so the monitor resumes waiting. The snapshot protocol is
-// cooperative: each worker publishes its own private state when asked, so
-// the monitor never races worker-owned data (docs/RUNTIME.md, "Failure
-// modes and stall diagnosis").
+// progress" so the monitor resumes waiting. Snapshots need no cooperation:
+// each rank publishes its wait record and suspended-send counts into its
+// control slot whenever it pauses blocked, and the monitor reads them from
+// the segment on both transports (docs/RUNTIME.md, "Failure modes and
+// stall diagnosis").
 #pragma once
 
 #include <string>
@@ -30,9 +31,12 @@ enum class ProcState : std::uint8_t {
 };
 
 const char* to_string(ProcState state);
+/// REC-blocked, MAP-blocked or END-drain: the states a processor publishes
+/// its wait record in, and the only ones wait-for edges leave.
+bool is_blocked(ProcState state);
 
-/// One bounded re-request (recovery) episode on a processor: either a wait
-/// that was healed after `attempts` NACKs, or one whose attempts ran out
+/// The wait a blocked processor is in, with its bounded re-request
+/// (recovery) state: `attempts` NACKs sent so far, and whether they ran out
 /// (`exhausted`) — the event that escalates to ProtocolDeadlockError.
 struct RetryRecord {
   DataId object = graph::kInvalidData;   // content wait (or package target)
@@ -43,13 +47,12 @@ struct RetryRecord {
   bool exhausted = false;
 };
 
-/// One processor's state at the stall instant. `detailed` snapshots are
-/// filled by the worker itself (full private state); light snapshots are
-/// synthesized by the monitor from the always-published atomics when a
-/// worker cannot respond (it is inside a long task body).
+/// One processor's state at the stall instant, built by the monitor from
+/// what the processor published in the segment. The blocked cause, the
+/// suspended sends and `retry` are filled only for blocked states (REC,
+/// MAP-blocked, END-drain): they are published at blocked pauses.
 struct ProcSnapshot {
   ProcId proc = graph::kInvalidProc;
-  bool detailed = false;
   ProcState state = ProcState::kStart;
   std::int32_t pos = 0;         // position in the static task order
   std::int32_t order_size = 0;
@@ -66,17 +69,11 @@ struct ProcSnapshot {
 
   std::int64_t suspended_sends = 0;
   std::vector<std::int64_t> suspended_by_dest;  // per destination processor
-  std::vector<std::uint32_t> addr_epoch;        // per-peer address epochs
   std::int64_t mailbox_packages = 0;  // occupancy of this proc's own mailbox
-  std::int64_t parks = 0;
-  std::int64_t park_timeouts = 0;
 
-  /// Re-requests issued for the wait the processor is currently blocked in
-  /// (0 when recovery is off or the wait is fresh).
-  std::int32_t retry_attempts = 0;
-  /// Finished recovery episodes this run, ending with the current wait if
-  /// it has sent any NACKs — the "retry history" the escalation carries.
-  std::vector<RetryRecord> retry_history;
+  /// The wait the processor is blocked in: how long it has waited and the
+  /// re-requests it issued (0 when recovery is off or the wait is fresh).
+  RetryRecord retry;
 };
 
 /// One wait-for edge: `from` cannot progress until `to` acts.

@@ -97,16 +97,15 @@ inline bool Impl::task_ready(ProcId q, TaskId t, GateRef* gate) {
   const TaskRuntimePlan& trp = plan.tasks[t];
   const WindowView& mine = win[static_cast<std::size_t>(q)];
   for (const RemoteRead& rr : trp.remote_reads) {
-    const std::int32_t have =
-        mine.received_version[rr.object].load(std::memory_order_acquire);
-    const bool arrived = have >= rr.version;
+    const bool arrived =
+        mine.received_version[rr.object].load(std::memory_order_acquire) >=
+        rr.version;
     if (arrived && content_trusted(q, rr.object, gate)) {
       continue;
     }
     if (gate) {
       gate->object = rr.object;
       gate->version = rr.version;
-      gate->have = have;
     }
     return false;
   }
@@ -119,80 +118,42 @@ inline bool Impl::task_ready(ProcId q, TaskId t, GateRef* gate) {
   return true;
 }
 
-// ---- stall snapshots (worker side) ------------------------------------------
+// ---- blocked-wait publication ----------------------------------------------
 
-/// Worker-side answer to a monitor snapshot request: publish everything
-/// the diagnosis needs from this processor's own private state (never
-/// read cross-thread), including a re-derivation of what the current
-/// task is blocked on and the recovery retry history. `map_blocked_dest`
-/// marks the MAP-blocked state when called from inside
-/// send_addr_package_blocking.
-void Impl::publish_snapshot(ProcId q, std::int64_t extra_parks,
-                            std::int64_t extra_timeouts,
-                            ProcId map_blocked_dest) {
+/// The one publication of what the stall diagnosis reads, called only where
+/// a blocked rank pauses: REC-blocked on `gate`, MAP-blocked on `map_dest`,
+/// END-drain. It tracks the wait (a changed identity starts a new one),
+/// runs the re-request deadline of a recovery-enabled REC wait, then
+/// publishes the suspended-send counts and the wait record with the
+/// state. The EXE/SND path stores nothing for the diagnosis.
+void Impl::publish_wait(ProcId q, ProcState s, const GateRef& gate,
+                        ProcId map_dest) {
   Private& me = priv[q];
-  const std::uint64_t gen = snap_gen.load(std::memory_order_acquire);
-  const ProcPlan& pp = plan.procs[q];
-  const auto n = static_cast<std::int32_t>(pp.order.size());
-  ProcSnapshot s;
-  s.proc = q;
-  s.detailed = true;
-  s.pos = me.pos;
-  s.order_size = n;
-  s.suspended_sends = me.suspended_count;
-  s.suspended_by_dest.resize(static_cast<std::size_t>(plan.num_procs), 0);
+  WaitTracker& w = me.wait;
+  if (w.state != s || w.pos != me.pos || w.rec.map_dest != map_dest ||
+      w.rec.object != gate.object || w.rec.version != gate.version ||
+      w.rec.flag != gate.flag_task) {
+    const std::int64_t now = now_ns();
+    w = WaitTracker{.state = s,
+                    .pos = me.pos,
+                    .rec = {.object = gate.object,
+                            .version = gate.version,
+                            .flag = gate.flag_task,
+                            .map_dest = map_dest,
+                            .since_ns = now}};
+    if (recovery_on) {
+      w.deadline_ns =
+          sat_add_i64(now, sat_mul_i64(options.retry.delay_us(1), 1000));
+    }
+  }
+  const bool exhausted_now = recovery_on && s == ProcState::kRecBlocked &&
+                             note_blocked_wait(q, gate);
   for (ProcId r = 0; r < plan.num_procs; ++r) {
-    s.suspended_by_dest[static_cast<std::size_t>(r)] =
-        static_cast<std::int64_t>(
-            me.suspended_by_dest[static_cast<std::size_t>(r)].size());
+    const auto n = static_cast<std::int32_t>(me.suspended_by_dest[r].size());
+    tp->set_suspended(q, r, n);
   }
-  s.addr_epoch = me.addr_epoch;
-  s.mailbox_packages = tp->mailbox_occupancy(q);
-  s.parks = me.park_accum + (me.backoff ? me.backoff->parks() : 0) +
-            extra_parks;
-  s.park_timeouts = me.timeout_accum +
-                    (me.backoff ? me.backoff->park_timeouts() : 0) +
-                    extra_timeouts;
-  if (recovery_on) {
-    s.retry_history = me.retry_log;
-    if (me.wait.active) {
-      s.retry_attempts = me.wait.attempts;
-      if (me.wait.attempts > 0 && !me.wait.exhausted) {
-        // The in-flight wait, reported as an open (non-exhausted) episode.
-        s.retry_history.push_back(me.wait.record(now_ns(), false));
-      }
-    }
-  }
-  if (map_blocked_dest != graph::kInvalidProc) {
-    s.state = ProcState::kMapBlocked;
-    s.mailbox_full_dest = map_blocked_dest;
-    if (me.pos < n) s.current_task = pp.order[me.pos];
-  } else if (me.pos >= n) {
-    s.state = me.counted_quiescent ? ProcState::kQuiescent
-                                   : ProcState::kEndDrain;
-  } else if (config.active_memory && me.memory->needs_map(me.pos)) {
-    s.state = ProcState::kMap;
-    s.current_task = pp.order[me.pos];
-  } else {
-    const TaskId t = pp.order[me.pos];
-    s.current_task = t;
-    GateRef gate;
-    if (task_ready(q, t, &gate)) {
-      s.state = ProcState::kExe;  // ready-to-run, snapshot raced the gate
-    } else {
-      s.state = ProcState::kRecBlocked;
-      s.waiting_object = gate.object;
-      s.waiting_version = gate.version;
-      s.have_version = gate.have;
-      s.waiting_flag_task = gate.flag_task;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(snap_m);
-    snap_slots[static_cast<std::size_t>(q)] = std::move(s);
-  }
-  snap_acked.fetch_add(1, std::memory_order_release);
-  me.snap_seen = gen;
+  tp->beat_wait(q, static_cast<std::uint8_t>(s), me.pos, w.rec);
+  if (exhausted_now) control_bell->ring();  // the monitor decides
 }
 
 // ---- worker ------------------------------------------------------------------
@@ -315,13 +276,9 @@ void Impl::worker(ProcId q) {
     }
     dispatch_sends(q, pp.initial_sends);
 
-    me.backoff.emplace(*bell, kSpinIters, effective_park_us);
-    Backoff& backoff = *me.backoff;
+    Backoff backoff(*bell, kSpinIters, effective_park_us);
     const auto n = static_cast<std::int32_t>(pp.order.size());
     while (!tp->aborted()) {
-      if (snap_gen.load(std::memory_order_acquire) != me.snap_seen) {
-        publish_snapshot(q, 0, 0, graph::kInvalidProc);
-      }
       if (me.pos < n) {
         if (config.active_memory && me.memory->needs_map(me.pos)) {
           // MAP state.
@@ -371,7 +328,6 @@ void Impl::worker(ProcId q) {
         const std::uint64_t seen = bell->value();
         GateRef gate;
         if (task_ready(q, t, &gate)) {
-          if (recovery_on) finish_wait(q);
           if (tracing) {
             // The task's remote inputs are now all trusted: close the
             // put→publish→consume flows on the reader side. The stamp is
@@ -403,11 +359,7 @@ void Impl::worker(ProcId q) {
         } else if (service_ra_cq(q)) {  // REC
           backoff.reset();
         } else {
-          set_state(q, ProcState::kRecBlocked);
-          if (recovery_on) note_blocked_wait(q, gate);
-          tp->beat_wait(q, gate.object, gate.version, gate.flag_task,
-                        graph::kInvalidProc, me.wait.attempts,
-                        me.wait.exhausted);
+          publish_wait(q, ProcState::kRecBlocked, gate, graph::kInvalidProc);
           traced_pause(q, backoff, seen);
         }
         continue;
@@ -423,8 +375,6 @@ void Impl::worker(ProcId q) {
           control_bell->ring();  // the run is over: wake the monitor
         }
         bump_progress();  // and any peers parked waiting for quiescence
-      } else if (!me.counted_quiescent) {
-        set_state(q, ProcState::kEndDrain);
       }
       if (tp->quiescent_count() == plan.num_procs) {
         return;
@@ -432,6 +382,10 @@ void Impl::worker(ProcId q) {
       if (progressed) {
         backoff.reset();
       } else {
+        if (!me.counted_quiescent) {
+          publish_wait(q, ProcState::kEndDrain, GateRef{},
+                       graph::kInvalidProc);
+        }
         traced_pause(q, backoff, seen);
       }
     }
@@ -464,11 +418,6 @@ void Impl::reset_run_state() {
   priv.clear();
   priv.resize(static_cast<std::size_t>(plan.num_procs));
   win.clear();
-  snap_slots.assign(static_cast<std::size_t>(plan.num_procs),
-                    ProcSnapshot{});
-  snap_gen.store(0);
-  snap_acked.store(0);
-  exhausted_waiters.store(0);
   stall_report.reset();
   proc_failure.reset();
   epoch_base.assign(static_cast<std::size_t>(plan.graph->num_data()), 0);

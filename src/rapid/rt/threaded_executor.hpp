@@ -10,10 +10,12 @@
 // The communication data plane is lock-free, like the shmem_put RMA it
 // models: senders memcpy payloads straight into the destination heap and
 // publish visibility with a per-object release store; readiness checks are
-// acquire loads. Only the multi-slot address-package mailbox keeps a mutex.
-// Blocked states spin briefly and then park on a shared progress doorbell
-// instead of yield-spinning. docs/RUNTIME.md states the memory-ordering
-// argument.
+// acquire loads. Only the multi-slot address-package mailbox (and the NACK
+// ring, on recovery paths) takes a lock: a per-destination spinlock in the
+// segment. Stall diagnosis reads the wait records ranks publish there,
+// lock-free. Blocked states spin briefly and then park on a shared
+// progress doorbell instead of yield-spinning. docs/RUNTIME.md states the
+// memory-ordering argument.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,8 @@
 // Vocabulary of the threaded runtime's one-sided transport
 // (rt/shm_transport.hpp): the transport kind, the NACK record, the raw
-// window view the data plane puts into, and the light per-rank status the
-// monitor reads. There is one transport — one offset-based segment layout
-// — and two ways to run it:
+// window view the data plane puts into, and the light per-rank status and
+// wait record the monitor reads. There is one transport — one
+// offset-based segment layout — and two ways to run it:
 //
 //   * kInProc — every paper-processor is a std::thread and the segment is
 //     a private anonymous mapping of this process;
@@ -63,21 +63,30 @@ struct WindowView {
   std::atomic<std::uint8_t>* flags = nullptr;
 };
 
+/// What a blocked processor waits on, published into its control slot at
+/// every blocked pause (REC-blocked, MAP-blocked, END-drain) and read by
+/// the monitor's stall diagnosis and the shm orphaned-wait report.
+struct WaitRecord {
+  DataId object = graph::kInvalidData;   // REC: content wait
+  std::int32_t version = -1;             // REC: version required
+  TaskId flag = graph::kInvalidTask;     // REC: flag wait (object invalid)
+  ProcId map_dest = graph::kInvalidProc;  // MAP-blocked: the full mailbox
+  std::int32_t retry_attempts = 0;       // re-requests sent for this wait
+  bool exhausted = false;                // re-requests ran out
+  std::int64_t since_ns = 0;             // now_ns() when the wait began
+};
+
 /// One processor's coarse liveness/progress record, readable by the
-/// monitor without cooperation from the processor itself. The wait fields
-/// mirror the blocked-state beat_wait() publications and lease_ns the
-/// heartbeat; both are published only on a shared segment (kShm) — thread
-/// ranks leave them at their zero/invalid values.
+/// monitor without cooperation from the processor itself: the state and
+/// position of its last beat, the wait record of its last blocked pause,
+/// and (on a shared segment only — a thread cannot die alone) its
+/// heartbeat lease. The wait record is current only while `state` is a
+/// blocked state.
 struct LightState {
   std::uint8_t state = 0;  // rt::ProcState
   std::int32_t pos = 0;
   std::int64_t lease_ns = 0;
-  DataId waiting_object = graph::kInvalidData;
-  std::int32_t waiting_version = -1;
-  TaskId waiting_flag = graph::kInvalidTask;
-  ProcId map_dest = graph::kInvalidProc;
-  std::int32_t retry_attempts = 0;
-  bool retries_exhausted = false;
+  WaitRecord wait;
 };
 
 }  // namespace rapid::rt

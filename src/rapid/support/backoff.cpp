@@ -35,7 +35,7 @@ void Backoff::pause(std::uint64_t seen) {
     return;
   }
   ++parks_;
-  if (!bell_.wait(seen, park_timeout_us_)) ++park_timeouts_;
+  bell_.wait(seen, park_timeout_us_);
 }
 
 }  // namespace rapid

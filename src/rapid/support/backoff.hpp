@@ -95,10 +95,6 @@ class Backoff {
   void reset() { attempts_ = 0; }
 
   std::int64_t parks() const { return parks_; }
-  /// Parks that ended on the timeout (or a spurious wakeup) rather than a
-  /// productive ring — the signal the forced-park-timeout fault class
-  /// amplifies and the stall snapshots record.
-  std::int64_t park_timeouts() const { return park_timeouts_; }
 
  private:
   FutexBell& bell_;
@@ -106,7 +102,6 @@ class Backoff {
   std::int64_t park_timeout_us_;
   std::int32_t attempts_ = 0;
   std::int64_t parks_ = 0;
-  std::int64_t park_timeouts_ = 0;
 };
 
 }  // namespace rapid

@@ -28,6 +28,7 @@
 #include "rapid/sched/ordering.hpp"
 #include "rapid/support/rng.hpp"
 #include "rapid/support/stopwatch.hpp"
+#include "tsan.hpp"
 
 namespace rapid::rt {
 namespace {
@@ -174,56 +175,65 @@ TEST(FaultInjection, DroppedAddressPackageIsDiagnosedAsDeadlock) {
   // destined for never learns p0's buffer addresses, its content sends to
   // p0 suspend forever, and p0 blocks waiting for that content: a genuine
   // wait-for cycle the stall monitor must prove and report long before the
-  // watchdog deadline.
+  // watchdog deadline — on both transports, from the wait records and
+  // suspended-send counts every rank publishes in the segment.
   constexpr int kProcs = 4;
   testing::CounterApp app(kProcs);
   const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
   RunConfig config = app.config(liveness.min_mem());
-  ThreadedOptions options;
-  options.watchdog_seconds = 25.0;  // must NOT be what fires
-  options.faults.drop_addr_src = 0;
-  options.faults.drop_addr_nth = 1;
-  ThreadedExecutor exec(app.plan, config, app.make_init(), app.make_body(),
-                        options);
-  Stopwatch elapsed;
-  try {
-    exec.run();
-    FAIL() << "expected ProtocolDeadlockError";
-  } catch (const ProtocolDeadlockError& e) {
-    // Diagnosed by the stall monitor in seconds, not by the 25 s watchdog.
-    EXPECT_LT(elapsed.seconds(), 10.0);
-    ASSERT_NE(e.report(), nullptr) << e.what();
-    const StallReport& report = *e.report();
-    EXPECT_TRUE(report.genuine_deadlock);
-    ASSERT_FALSE(report.cycle.empty()) << e.what();
-    // p0 is part of the cycle: it waits for content whose sends are
-    // suspended behind the dropped package.
-    EXPECT_NE(std::find(report.cycle.begin(), report.cycle.end(), 0),
-              report.cycle.end());
-    ASSERT_EQ(report.procs.size(), static_cast<std::size_t>(kProcs));
-    // The report names the blocked object on at least one content edge.
-    bool has_content_edge = false;
-    for (const WaitEdge& edge : report.edges) {
-      if (edge.kind == WaitEdge::Kind::kContent) {
-        has_content_edge = true;
-        EXPECT_NE(edge.object, graph::kInvalidData);
+  for (const TransportKind kind :
+       {TransportKind::kInProc, TransportKind::kShm}) {
+    if (kind == TransportKind::kShm && RAPID_UNDER_TSAN) continue;
+    SCOPED_TRACE(to_string(kind));
+    ThreadedOptions options;
+    options.transport = kind;
+    options.watchdog_seconds = 25.0;  // must NOT be what fires
+    options.faults.drop_addr_src = 0;
+    options.faults.drop_addr_nth = 1;
+    ThreadedExecutor exec(app.plan, config, app.make_init(), app.make_body(),
+                          options);
+    Stopwatch elapsed;
+    try {
+      exec.run();
+      ADD_FAILURE() << "expected ProtocolDeadlockError";
+      continue;
+    } catch (const ProtocolDeadlockError& e) {
+      // Diagnosed by the stall monitor in seconds, not by the 25 s watchdog.
+      EXPECT_LT(elapsed.seconds(), 10.0);
+      ASSERT_NE(e.report(), nullptr) << e.what();
+      const StallReport& report = *e.report();
+      EXPECT_TRUE(report.genuine_deadlock);
+      ASSERT_FALSE(report.cycle.empty()) << e.what();
+      // p0 is part of the cycle: it waits for content whose sends are
+      // suspended behind the dropped package.
+      EXPECT_NE(std::find(report.cycle.begin(), report.cycle.end(), 0),
+                report.cycle.end());
+      ASSERT_EQ(report.procs.size(), static_cast<std::size_t>(kProcs));
+      // The report names the blocked object on at least one content edge.
+      bool has_content_edge = false;
+      for (const WaitEdge& edge : report.edges) {
+        if (edge.kind == WaitEdge::Kind::kContent) {
+          has_content_edge = true;
+          EXPECT_NE(edge.object, graph::kInvalidData);
+        }
       }
-    }
-    EXPECT_TRUE(has_content_edge) << e.what();
-    // The suspended sends behind the dropped package appear as
-    // address-package edges.
-    bool has_addr_edge = false;
-    for (const WaitEdge& edge : report.edges) {
-      has_addr_edge |= edge.kind == WaitEdge::Kind::kAddrPackage;
-    }
-    EXPECT_TRUE(has_addr_edge) << e.what();
-    // The rendered summary names states and the cycle for humans.
-    const std::string text = report.summary();
-    EXPECT_NE(text.find("wait-for cycle"), std::string::npos);
-    // CI artifact: dump the structured report when a directory is given.
-    if (const char* dir = std::getenv("RAPID_STALL_REPORT_DIR")) {
-      std::ofstream out(std::string(dir) + "/stall_report.json");
-      out << report.to_json().dump();
+      EXPECT_TRUE(has_content_edge) << e.what();
+      // The suspended sends behind the dropped package appear as
+      // address-package edges.
+      bool has_addr_edge = false;
+      for (const WaitEdge& edge : report.edges) {
+        has_addr_edge |= edge.kind == WaitEdge::Kind::kAddrPackage;
+      }
+      EXPECT_TRUE(has_addr_edge) << e.what();
+      // The rendered summary names states and the cycle for humans.
+      const std::string text = report.summary();
+      EXPECT_NE(text.find("wait-for cycle"), std::string::npos);
+      // CI artifact: dump the structured report when a directory is given.
+      if (const char* dir = std::getenv("RAPID_STALL_REPORT_DIR")) {
+        std::ofstream out(std::string(dir) + "/stall_report_" +
+                          to_string(kind) + ".json");
+        out << report.to_json().dump();
+      }
     }
   }
 }

@@ -6,8 +6,8 @@
 // recovery is OFF — is covered by data_plane_stress_test.cpp; this file
 // asserts the complementary claim: with recovery ON, every injected fault
 // class completes with the exact sequential numerics and zero escalations,
-// and detected-but-unrecoverable situations escalate with a retry history
-// attached.
+// and detected-but-unrecoverable situations escalate with the exhausted
+// wait attached.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -176,7 +176,7 @@ TEST(Recovery, DisabledRecoveryStillFailsFailStop) {
 TEST(Recovery, ExhaustedRetriesEscalateWithRetryHistory) {
   // Drop the address package AND every re-request: the waiter's bounded
   // retries run out, and only then does the run escalate — as
-  // ProtocolDeadlockError whose StallReport records the retry history.
+  // ProtocolDeadlockError whose StallReport records the exhausted wait.
   constexpr int kProcs = 4;
   CounterApp app(kProcs);
   const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
@@ -196,16 +196,15 @@ TEST(Recovery, ExhaustedRetriesEscalateWithRetryHistory) {
     ASSERT_NE(e.report(), nullptr) << e.what();
     const StallReport& report = *e.report();
     EXPECT_TRUE(report.retries_exhausted);
-    // At least one processor logged an exhausted wait with the policy's
-    // full attempt count.
+    // At least one processor is blocked in an exhausted wait with the
+    // policy's full attempt count.
     bool found_exhausted = false;
     for (const ProcSnapshot& s : report.procs) {
-      for (const RetryRecord& rec : s.retry_history) {
-        if (rec.exhausted) {
-          found_exhausted = true;
-          EXPECT_EQ(rec.attempts, RetryPolicy::standard().max_attempts);
-          EXPECT_GT(rec.waited_us, 0);
-        }
+      const RetryRecord& rec = s.retry;
+      if (rec.exhausted) {
+        found_exhausted = true;
+        EXPECT_EQ(rec.attempts, RetryPolicy::standard().max_attempts);
+        EXPECT_GT(rec.waited_us, 0);
       }
     }
     EXPECT_TRUE(found_exhausted) << report.summary();

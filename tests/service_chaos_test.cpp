@@ -16,17 +16,7 @@
 
 #include "rapid/rt/faults.hpp"
 #include "rapid/svc/service.hpp"
-
-#if defined(__SANITIZE_THREAD__)
-#define RAPID_UNDER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define RAPID_UNDER_TSAN 1
-#endif
-#endif
-#ifndef RAPID_UNDER_TSAN
-#define RAPID_UNDER_TSAN 0
-#endif
+#include "tsan.hpp"
 
 namespace rapid::svc {
 namespace {

@@ -40,24 +40,7 @@
 #include "rapid/sched/liveness.hpp"
 #include "rapid/support/stopwatch.hpp"
 #include "rapid/support/str.hpp"
-
-#if defined(__SANITIZE_THREAD__)
-#define RAPID_UNDER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define RAPID_UNDER_TSAN 1
-#endif
-#endif
-#ifndef RAPID_UNDER_TSAN
-#define RAPID_UNDER_TSAN 0
-#endif
-
-#define RAPID_SKIP_UNDER_TSAN()                                         \
-  do {                                                                  \
-    if (RAPID_UNDER_TSAN) {                                             \
-      GTEST_SKIP() << "fork-based shm tests are incompatible with TSan"; \
-    }                                                                   \
-  } while (0)
+#include "tsan.hpp"
 
 namespace rapid::rt {
 namespace {
@@ -480,6 +463,9 @@ TEST(ShmRecovery, ExhaustionAfterFirstDiagnosisEscalates) {
     } catch (const ProtocolDeadlockError& e) {
       ASSERT_NE(e.report(), nullptr) << to_string(kind) << ": " << e.what();
       EXPECT_TRUE(e.report()->retries_exhausted) << to_string(kind);
+      // The exhausted wait is read from the rank's published wait record.
+      EXPECT_NE(e.report()->summary().find("EXHAUSTED"), std::string::npos)
+          << to_string(kind) << ": " << e.report()->summary();
       // The monitor's text is never cut to a fixed-size segment slot.
       EXPECT_NE(std::string(e.what()).find(e.report()->summary()),
                 std::string::npos)
@@ -494,30 +480,51 @@ TEST(ShmRecovery, ExhaustionAfterFirstDiagnosisEscalates) {
 
 // ---- control-segment state -------------------------------------------------
 
-// Beats and wait records land in the segment's per-rank control slots and
-// read back through light() — this is what the coordinator's stall and
-// orphan diagnosis is built from.
+// Beats, wait records and suspended-send counts land in the segment's
+// per-rank control slots and read back through light() and suspended() on
+// both mappings — the stall snapshots and the orphan diagnosis are built
+// from them. Only the shared mapping stamps a lease.
 TEST(ShmTransportState, BeatsAndWaitRecordsReadBack) {
   ShmTransport::Dims dims;
   dims.num_procs = 2;
   dims.num_data = 4;
   dims.num_tasks = 4;
   dims.heap_bytes = 64;
-  auto session = ShmSession::create(dims, /*lease_timeout_seconds=*/2.0);
-  ShmTransport& st = session->transport();
-  st.beat(1, /*state=*/3, /*pos=*/17);
-  st.beat_wait(1, /*object=*/2, /*version=*/4, /*flag=*/graph::kInvalidTask,
-               /*map_dest=*/graph::kInvalidProc, /*retry_attempts=*/2,
-               /*exhausted=*/false);
-  const LightState l = st.light(1);
-  EXPECT_EQ(l.state, 3);
-  EXPECT_EQ(l.pos, 17);
-  EXPECT_EQ(l.waiting_object, 2);
-  EXPECT_EQ(l.waiting_version, 4);
-  EXPECT_EQ(l.waiting_flag, graph::kInvalidTask);
-  EXPECT_EQ(l.retry_attempts, 2);
-  EXPECT_FALSE(l.retries_exhausted);
-  EXPECT_GT(l.lease_ns, 0);
+  for (const bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared mapping" : "private mapping");
+    auto tp = ShmTransport::create(dims, shared);
+    tp->beat(0, /*state=*/3, /*pos=*/5);
+    WaitRecord w;
+    w.object = 2;
+    w.version = 4;
+    w.retry_attempts = 2;
+    w.since_ns = 123456789;
+    tp->set_suspended(1, /*dest=*/0, 3);
+    tp->beat_wait(1, /*state=*/4, /*pos=*/17, w);
+    const LightState l = tp->light(1);
+    EXPECT_EQ(l.state, 4);
+    EXPECT_EQ(l.pos, 17);
+    EXPECT_EQ(l.wait.object, 2);
+    EXPECT_EQ(l.wait.version, 4);
+    EXPECT_EQ(l.wait.flag, graph::kInvalidTask);
+    EXPECT_EQ(l.wait.map_dest, graph::kInvalidProc);
+    EXPECT_EQ(l.wait.retry_attempts, 2);
+    EXPECT_FALSE(l.wait.exhausted);
+    EXPECT_EQ(l.wait.since_ns, 123456789);
+    EXPECT_EQ(tp->suspended(1, 0), 3);
+    EXPECT_EQ(tp->suspended(1, 1), 0);
+    EXPECT_EQ(tp->suspended(0, 1), 0);
+    const LightState l0 = tp->light(0);
+    EXPECT_EQ(l0.state, 3);
+    EXPECT_EQ(l0.pos, 5);
+    if (shared) {
+      EXPECT_GT(l.lease_ns, 0);
+      EXPECT_GT(l0.lease_ns, 0);
+    } else {
+      EXPECT_EQ(l.lease_ns, 0);
+      EXPECT_EQ(l0.lease_ns, 0);
+    }
+  }
 }
 
 // ---- lease lapse -----------------------------------------------------------

@@ -30,24 +30,7 @@
 #include "rapid/support/stopwatch.hpp"
 #include "rapid/sched/liveness.hpp"
 #include "rapid/svc/service.hpp"
-
-#if defined(__SANITIZE_THREAD__)
-#define RAPID_UNDER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define RAPID_UNDER_TSAN 1
-#endif
-#endif
-#ifndef RAPID_UNDER_TSAN
-#define RAPID_UNDER_TSAN 0
-#endif
-
-#define RAPID_SKIP_UNDER_TSAN()                                          \
-  do {                                                                   \
-    if (RAPID_UNDER_TSAN) {                                              \
-      GTEST_SKIP() << "fork-based shm tests are incompatible with TSan"; \
-    }                                                                    \
-  } while (0)
+#include "tsan.hpp"
 
 namespace rapid::obs {
 namespace {

@@ -54,7 +54,6 @@ TEST(InProcTransport, PublishOrderingAndFlagVisibility) {
   auto tp = make_private(/*num_procs=*/2, /*num_data=*/3, /*num_tasks=*/2,
                          /*heap_bytes_per_proc=*/256);
   ASSERT_EQ(tp->num_procs(), 2);
-  EXPECT_EQ(tp->kind(), TransportKind::kInProc);
   EXPECT_FALSE(tp->cross_process());
   WindowView w1 = tp->window(1);
   ASSERT_NE(w1.heap, nullptr);
@@ -151,17 +150,27 @@ TEST(InProcTransport, ControlPlaneQuiescenceAbortFailures) {
 
 TEST(InProcTransport, BeatsFeedLightState) {
   auto tp = make_private(2, 2, 2, 64);
-  tp->beat(1, /*state=*/3, /*pos=*/17);
-  // On a private mapping beat_wait is deliberately a no-op and beat stamps
-  // no lease: the monitor diagnoses stalls from full cooperative
-  // snapshots, and light() carries only state/pos. The wait fields are
-  // meaningful on a shared segment (shm_transport_test covers them).
-  tp->beat_wait(1, /*object=*/1, /*version=*/4, /*flag=*/graph::kInvalidTask,
-                /*map_dest=*/graph::kInvalidProc, /*retry_attempts=*/2,
-                /*exhausted=*/false);
+  tp->beat(0, /*state=*/2, /*pos=*/9);
+  // On a private mapping a rank's wait record lands in its control slot as
+  // on a shared one — the stall snapshots read it back through light() —
+  // but no beat stamps a lease: there is no other process to watch it.
+  WaitRecord w;
+  w.object = 1;
+  w.version = 4;
+  w.retry_attempts = 2;
+  tp->beat_wait(1, /*state=*/3, /*pos=*/17, w);
   const LightState l = tp->light(1);
   EXPECT_EQ(l.state, 3);
   EXPECT_EQ(l.pos, 17);
+  EXPECT_EQ(l.wait.object, 1);
+  EXPECT_EQ(l.wait.version, 4);
+  EXPECT_EQ(l.wait.retry_attempts, 2);
+  EXPECT_FALSE(l.wait.exhausted);
+  EXPECT_EQ(l.lease_ns, 0);
+  const LightState l0 = tp->light(0);
+  EXPECT_EQ(l0.state, 2);
+  EXPECT_EQ(l0.pos, 9);
+  EXPECT_EQ(l0.lease_ns, 0);
 }
 
 // The monitor's failure text (deadlock, watchdog, exhaustion, cancel, proc
