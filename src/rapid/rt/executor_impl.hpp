@@ -31,6 +31,7 @@
 #include "rapid/obs/trace.hpp"
 #include "rapid/rt/map_engine.hpp"
 #include "rapid/rt/proc_failure.hpp"
+#include "rapid/rt/run_context.hpp"
 #include "rapid/rt/shm_transport.hpp"
 #include "rapid/rt/stall.hpp"
 #include "rapid/rt/threaded_executor.hpp"
@@ -199,13 +200,17 @@ struct ThreadedExecutor::Impl {
   /// known_addrs tables); -1 until built.
   std::vector<std::int32_t> owned_index;
 
+  /// The run context this executor leases for its lifetime: the crew that
+  /// runs in-proc ranks and the private mapping their transport lives in.
+  /// own_ctx is the private context of a standalone executor.
+  std::unique_ptr<RunContext> own_ctx;
+  RunContext& ctx;
   /// The one-sided transport behind the data plane: windows, mailboxes,
   /// NACK channels, bells, the abort/quiescence/failure control plane,
   /// and the light per-processor status (plus leases, cross-process).
   /// `win` caches the raw window views; `bell`/`control_bell` alias the
-  /// transport's bells. owned_tp holds the private-mapping transport of an
-  /// in-proc run; shm runs point tp into the session's transport.
-  std::unique_ptr<ShmTransport> owned_tp;
+  /// transport's bells. In-proc runs point tp into the context's private
+  /// mapping; shm runs into the session's transport.
   ShmTransport* tp = nullptr;
   std::vector<WindowView> win;
   FutexBell* bell = nullptr;
@@ -236,7 +241,8 @@ struct ThreadedExecutor::Impl {
   Stopwatch since_spawn;
 
   Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
-       TaskBody body_, ThreadedOptions options_);
+       TaskBody body_, ThreadedOptions options_, RunContext* context);
+  ~Impl() { ctx.unlease(); }
 
   void fail(ProcId q, const std::string& what, FailureKind kind) {
     tp->fail_stop(q, kind, what);

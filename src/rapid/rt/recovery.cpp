@@ -57,7 +57,7 @@ JsonValue RecoveryRun::to_json() const {
 RecoveryRun run_with_recovery(const RunPlan& plan, const RunConfig& config,
                               ObjectInit init, TaskBody body,
                               ThreadedOptions options,
-                              RunRecoveryOptions ropts) {
+                              RunRecoveryOptions ropts, RunContext* context) {
   RAPID_CHECK(ropts.max_run_attempts >= 1,
               "run_with_recovery needs at least one attempt");
   RecoveryRun out;
@@ -76,8 +76,11 @@ RecoveryRun run_with_recovery(const RunPlan& plan, const RunConfig& config,
     }
     ThreadedOptions opts = options;
     opts.run_attempt = attempt;
-    auto exec = std::make_unique<ThreadedExecutor>(plan, config, init, body,
-                                                   opts);
+    auto exec =
+        context ? std::make_unique<ThreadedExecutor>(*context, plan, config,
+                                                     init, body, opts)
+                : std::make_unique<ThreadedExecutor>(plan, config, init, body,
+                                                     opts);
     out.attempts = attempt;
     try {
       out.report = exec->run();

@@ -86,10 +86,15 @@ struct RecoveryRun {
 /// attempt's exception (or returns it structured in capture_failure mode).
 /// A RunCancelledError is never retried: cancellation is a caller decision,
 /// not a fault, and a lapsed deadline only lapses further on a restart.
-/// Restarts wait restart_backoff_us (doubling per restart) first.
+/// Restarts wait restart_backoff_us (doubling per restart) first. With a
+/// `context`, every attempt's executor runs on it (one at a time: a failed
+/// attempt's executor is gone before the next one leases it), so restarts
+/// reuse its crew and mapping; the context must outlive the returned
+/// executor. Without one, each attempt's executor owns a private context.
 RecoveryRun run_with_recovery(const RunPlan& plan, const RunConfig& config,
                               ObjectInit init, TaskBody body,
                               ThreadedOptions options = {},
-                              RunRecoveryOptions ropts = {});
+                              RunRecoveryOptions ropts = {},
+                              RunContext* context = nullptr);
 
 }  // namespace rapid::rt

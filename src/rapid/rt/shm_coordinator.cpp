@@ -245,7 +245,7 @@ int Impl::run_forked_worker(ProcId q, const std::string& trace_dir) {
     obs::Trace local_trace(plan.num_procs, tc);
     worker_options.trace = tracing ? &local_trace : nullptr;
 
-    Impl impl(plan, worker_config, init, body, worker_options);
+    Impl impl(plan, worker_config, init, body, worker_options, nullptr);
     impl.reset_run_state();
     impl.attach_transport(transport);
     set_log_thread_proc(q);

@@ -268,16 +268,34 @@ ShmTransport::Dims ShmTransport::dims_for(const RunPlan& plan,
   return dims;
 }
 
-/// The heap windows and the mailbox/NACK slots are never touched here:
-/// their pages stay unmapped until a rank writes them.
+std::int64_t ShmTransport::segment_bytes(const Dims& dims) {
+  return Layout::compute(nullptr, dims).total_bytes;
+}
+
 std::unique_ptr<ShmTransport> ShmTransport::create(const Dims& dims,
                                                    bool shared) {
-  const std::int64_t bytes = Layout::compute(nullptr, dims).total_bytes;
-  ShmSegment seg = ShmSegment::anonymous(bytes, shared);
-  const Layout l = Layout::compute(seg.data(), dims);
-  // The mapping is zero-filled; placement-new every shared object anyway
-  // so the code never leans on atomic representation details.
-  ShmHeader* hdr = new (seg.data()) ShmHeader{};
+  std::unique_ptr<ShmTransport> tp(new ShmTransport(
+      ShmSegment::anonymous(segment_bytes(dims), shared), dims));
+  tp->init_objects();
+  return tp;
+}
+
+void ShmTransport::reinit(const Dims& dims) {
+  RAPID_CHECK(!seg_.shared() && segment_bytes(dims) <= seg_.size(),
+              "shm transport: reinit needs a private mapping the layout fits");
+  *l_ = Layout::compute(seg_.data(), dims);
+  monitor_text_.clear();
+  init_objects();
+}
+
+/// The heap windows and the mailbox/NACK slots are never touched here:
+/// their pages stay unmapped until a rank writes them. A fresh mapping is
+/// zero-filled; placement-new every shared object anyway so the code never
+/// leans on atomic representation details, and so a reused mapping starts
+/// from the same state.
+void ShmTransport::init_objects() {
+  const Layout& l = *l_;
+  ShmHeader* hdr = new (l.hdr) ShmHeader{};
   new (&hdr->data_bell) ShmBellState{};
   new (&hdr->control_bell) ShmBellState{};
   new (&hdr->abort) std::atomic<std::uint32_t>{0};
@@ -288,12 +306,12 @@ std::unique_ptr<ShmTransport> ShmTransport::create(const Dims& dims,
   for (std::int64_t i = 0; i < std::int64_t{l.p} * l.p; ++i) {
     new (&l.susp[i]) std::atomic<std::int32_t>{0};
   }
-  for (std::int64_t i = 0; i < l.p * dims.num_data; ++i) {
+  for (std::int64_t i = 0; i < l.p * l.d.num_data; ++i) {
     new (&l.versions[i]) std::atomic<std::int32_t>{-1};
     new (&l.crcs[i]) std::atomic<std::uint32_t>{0};
     new (&l.seqs[i]) std::atomic<std::uint32_t>{0};
   }
-  for (std::int64_t i = 0; i < l.p * dims.num_tasks; ++i) {
+  for (std::int64_t i = 0; i < l.p * l.d.num_tasks; ++i) {
     new (&l.flags[i]) std::atomic<std::uint8_t>{0};
   }
   for (std::int32_t dst = 0; dst < l.p; ++dst) {
@@ -303,8 +321,6 @@ std::unique_ptr<ShmTransport> ShmTransport::create(const Dims& dims,
     }
     new (l.nack_dst(dst)) NackDstHeader{};
   }
-  return std::unique_ptr<ShmTransport>(
-      new ShmTransport(std::move(seg), dims));
 }
 
 std::int32_t ShmTransport::num_procs() const { return l_->p; }

@@ -14,13 +14,14 @@
 //   [ NACK rings x p    | per-dest lock + bounded NackRequest ring       ]
 //
 // In-proc runs (TransportKind::kInProc) build the layout in a private
-// anonymous mapping and run the ranks as threads; pages are zero on first
-// touch, so a window costs only the bytes its rank actually writes. Shm
-// runs (kShm) build it in a shared anonymous mapping: the coordinator (the
-// process that called ThreadedExecutor::run) maps it, forks one worker per
-// rank — each inherits the mapping, the plan, the task bodies and the run
-// parameters — and monitors: waitpid reaping, lease lapses, and the
-// global watchdog. Workers run the unchanged protocol loop against this
+// anonymous mapping that a RunContext keeps across runs, re-initialized in
+// place for each one, and run the ranks as the context's crew threads;
+// pages are zero on first touch, so a window costs only the bytes its rank
+// actually writes. Shm runs (kShm) build it in a shared anonymous mapping,
+// afresh for every run: the coordinator (the process that called
+// ThreadedExecutor::run) maps it, forks one worker per rank — each
+// inherits the mapping, the plan, the task bodies and the run parameters —
+// and monitors: waitpid reaping, lease lapses, and the global watchdog. Workers run the unchanged protocol loop against this
 // transport and _exit with kShmWorkerClean / kShmWorkerAborted /
 // kShmWorkerFailed. On both mappings every rank publishes its state, its
 // wait record and its suspended-send counts into the segment, and the
@@ -70,12 +71,25 @@ class ShmTransport {
   /// owned by o| entries, so the largest such count bounds every slot.
   static Dims dims_for(const RunPlan& plan, const RunConfig& config);
 
-  /// Maps a fresh segment for `dims` and initializes every shared object
-  /// in it. `shared`: a MAP_SHARED mapping that the forked workers of an
-  /// shm run inherit. Otherwise a private mapping for an in-proc run, whose
-  /// ranks are threads of this process.
+  /// Bytes of the segment a layout for `dims` occupies.
+  static std::int64_t segment_bytes(const Dims& dims);
+
+  /// Maps a fresh segment of segment_bytes(dims) and initializes every
+  /// shared object in it. `shared`: a MAP_SHARED mapping that the forked
+  /// workers of an shm run inherit. Otherwise a private mapping for an
+  /// in-proc run, whose ranks are threads of this process.
   static std::unique_ptr<ShmTransport> create(const Dims& dims, bool shared);
   ~ShmTransport();
+
+  /// Lays out `dims` afresh in this transport's private mapping and
+  /// initializes every shared object, exactly as create() does; no rank
+  /// may be running. Requires segment_bytes(dims) <= mapped_bytes(). The
+  /// heap windows keep the bytes an earlier run left: a run writes every
+  /// window byte it reads before it reads it.
+  void reinit(const Dims& dims);
+  /// Length and base address of the mapping.
+  std::int64_t mapped_bytes() const { return seg_.size(); }
+  const std::byte* mapping_base() const { return seg_.data(); }
 
   /// True when peers are OS processes (enables lease bookkeeping and the
   /// process-kill fault class).
@@ -217,6 +231,8 @@ class ShmTransport {
  private:
   struct Layout;
   ShmTransport(ShmSegment seg, const Dims& dims);
+  /// Placement-news every shared object of the current layout.
+  void init_objects();
 
   ShmSegment seg_;
   std::unique_ptr<Layout> l_;

@@ -20,6 +20,16 @@ const char* to_string(ProcState state) {
   return "?";
 }
 
+const char* to_string(WaitEdge::Kind kind) {
+  switch (kind) {
+    case WaitEdge::Kind::kContent: return "content";
+    case WaitEdge::Kind::kFlag: return "flag";
+    case WaitEdge::Kind::kAddrPackage: return "addr_package";
+    case WaitEdge::Kind::kMailboxSlot: return "mailbox_slot";
+  }
+  return "?";
+}
+
 bool is_blocked(ProcState s) {
   return s == ProcState::kRecBlocked || s == ProcState::kMapBlocked ||
          s == ProcState::kEndDrain;
@@ -269,6 +279,7 @@ JsonValue StallReport::to_json() const {
     JsonValue j = JsonValue::object();
     j["from"] = e.from;
     j["to"] = e.to;
+    j["kind"] = to_string(e.kind);
     j["object"] = e.object;
     j["retries"] = e.retries;
     j["reason"] = e.reason;

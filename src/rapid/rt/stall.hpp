@@ -94,6 +94,9 @@ struct WaitEdge {
   std::string reason;                   // human-readable, with names
 };
 
+/// "content" | "flag" | "addr_package" | "mailbox_slot".
+const char* to_string(WaitEdge::Kind kind);
+
 /// The structured diagnosis attached to ProtocolDeadlockError. summary()
 /// renders it for terminals and exception messages; to_json() for CI
 /// artifacts (support/json escapes arbitrary message content).

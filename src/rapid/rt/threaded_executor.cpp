@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstring>
 #include <csignal>
-#include <thread>
 #include <utility>
 
 #include "rapid/obs/metrics.hpp"
@@ -21,7 +20,7 @@ namespace rapid::rt {
 using Impl = ThreadedExecutor::Impl;
 
 Impl::Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
-           TaskBody body_, ThreadedOptions options_)
+           TaskBody body_, ThreadedOptions options_, RunContext* context)
     : plan(plan_),
       config(config_),
       init(std::move(init_)),
@@ -43,7 +42,11 @@ Impl::Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
                          4.0 * static_cast<double>(
                                    options.retry.total_wait_us()) /
                              1e6)
-              : options.watchdog_seconds) {}
+              : options.watchdog_seconds),
+      own_ctx(context ? nullptr : std::make_unique<RunContext>()),
+      ctx(context ? *context : *own_ctx) {
+  ctx.lease();
+}
 
 // ---- readiness ---------------------------------------------------------------
 
@@ -272,7 +275,14 @@ void Impl::worker(ProcId q) {
     // in active mode until reader addresses arrive).
     Resolver resolver(*this, q);
     for (DataId d : pp.permanents) {
-      if (init) init(d, resolver.write(d));
+      // A reused mapping holds an earlier run's bytes: without an init,
+      // owned objects start zeroed, as on a fresh mapping.
+      const std::span<std::byte> buf = resolver.write(d);
+      if (init) {
+        init(d, buf);
+      } else {
+        std::memset(buf.data(), 0, buf.size());
+      }
     }
     dispatch_sends(q, pp.initial_sends);
 
@@ -399,6 +409,11 @@ void Impl::worker(ProcId q) {
   } catch (const std::exception& e) {
     set_state(q, ProcState::kFailed);
     fail(q, cat("processor ", q, ": ", e.what()), FailureKind::kTaskError);
+  } catch (...) {
+    // Nothing may escape into the crew thread (or the forked worker).
+    set_state(q, ProcState::kFailed);
+    fail(q, cat("processor ", q, ": non-standard exception"),
+         FailureKind::kTaskError);
   }
 }
 
@@ -530,7 +545,7 @@ void Impl::setup_epochs_and_baseline() {
 
 /// Baseline heap samples (permanents, plus preallocated volatiles in
 /// baseline mode), recorded before rank q's worker starts so the
-/// single-writer ring rule holds via the thread-creation edge.
+/// single-writer ring rule holds via the crew hand-off edge.
 void Impl::record_heap_baseline(ProcId q) {
   trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
                 priv[q].memory->in_use_bytes());
@@ -614,9 +629,8 @@ RunReport Impl::run_inproc() {
   RunReport report = begin_run();
   try {
     if (config.audit) verify::audit_or_throw(plan, config);
-    owned_tp = ShmTransport::create(ShmTransport::dims_for(plan, config),
-                                    /*shared=*/false);
-    attach_transport(*owned_tp);
+    attach_transport(
+        ctx.transport_for(ShmTransport::dims_for(plan, config)));
     for (ProcId q = 0; q < plan.num_procs; ++q) {
       setup_proc_state(q, /*install_free_hook=*/true);
     }
@@ -629,13 +643,14 @@ RunReport Impl::run_inproc() {
   }
 
   Stopwatch wall;
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(plan.num_procs));
-  for (ProcId q = 0; q < plan.num_procs; ++q) {
-    threads.emplace_back([this, q] { worker(q); });
-  }
+  ctx.start(plan.num_procs, [this](ProcId q) { worker(q); });
   monitor();
-  for (auto& th : threads) th.join();
+  ctx.wait();
+  // A private context serves no later run worth keeping threads for. Its
+  // ranks exit now, as threads of a one-run executor always did, so their
+  // thread-local kernel scratch and malloc caches are freed before the
+  // caller reads results rather than held until the executor goes.
+  if (own_ctx) ctx.stop_crew();
   report.parallel_time_us = wall.seconds() * 1e6;
   for (ProcId q = 0; q < plan.num_procs; ++q) {
     report.add_counters(q, finished_counters(q));
@@ -651,7 +666,13 @@ ThreadedExecutor::ThreadedExecutor(const RunPlan& plan, const RunConfig& config,
                                    ObjectInit init, TaskBody body,
                                    ThreadedOptions options)
     : impl_(std::make_unique<Impl>(plan, config, std::move(init),
-                                   std::move(body), options)) {}
+                                   std::move(body), options, nullptr)) {}
+
+ThreadedExecutor::ThreadedExecutor(RunContext& context, const RunPlan& plan,
+                                   const RunConfig& config, ObjectInit init,
+                                   TaskBody body, ThreadedOptions options)
+    : impl_(std::make_unique<Impl>(plan, config, std::move(init),
+                                   std::move(body), options, &context)) {}
 
 ThreadedExecutor::~ThreadedExecutor() = default;
 

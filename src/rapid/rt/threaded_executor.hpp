@@ -1,5 +1,6 @@
 // Threaded executor: the same protocol as the simulator, but real. Each
-// "processor" is a std::thread with a private fixed-capacity heap; RMA puts
+// "processor" is a thread of a RunContext's crew (rt/run_context.hpp) with a
+// private fixed-capacity heap; RMA puts
 // are memcpys into the destination heap at offsets learned through address
 // packages; blocked states poll RA (read address packages) then CQ (check
 // the suspended send queue) exactly like the paper's Figure 3(b). Task
@@ -48,7 +49,8 @@ class ObjectResolver {
   virtual std::span<std::byte> write(DataId d) = 0;
 };
 
-/// Fills an owned object's initial content (version 0).
+/// Fills an owned object's initial content (version 0). Without one, owned
+/// objects start zeroed.
 using ObjectInit = std::function<void(DataId, std::span<std::byte>)>;
 /// Executes one task against its resolved buffers.
 using TaskBody = std::function<void(TaskId, ObjectResolver&)>;
@@ -115,10 +117,20 @@ struct ThreadedOptions {
   double lease_timeout_seconds = 2.0;
 };
 
+class RunContext;  // rt/run_context.hpp
+
 class ThreadedExecutor {
  public:
+  /// A standalone executor: its in-proc runs use a private RunContext,
+  /// whose rank threads exit at the end of each run.
   ThreadedExecutor(const RunPlan& plan, const RunConfig& config,
                    ObjectInit init, TaskBody body,
+                   ThreadedOptions options = {});
+  /// An executor on `context`, which it leases until destroyed (a second
+  /// live executor on the same context fails a RAPID_CHECK). The context
+  /// must outlive the executor. Shm runs do not use it.
+  ThreadedExecutor(RunContext& context, const RunPlan& plan,
+                   const RunConfig& config, ObjectInit init, TaskBody body,
                    ThreadedOptions options = {});
   ~ThreadedExecutor();
 

@@ -4,8 +4,9 @@
 // wait record the monitor reads. There is one transport — one
 // offset-based segment layout — and two ways to run it:
 //
-//   * kInProc — every paper-processor is a std::thread and the segment is
-//     a private anonymous mapping of this process;
+//   * kInProc — every paper-processor is a crew thread of a RunContext and
+//     the segment is the context's private anonymous mapping, kept across
+//     runs (rt/run_context.hpp);
 //   * kShm — every paper-processor is a forked OS process and the segment
 //     is a shared anonymous mapping they all inherit; liveness is a
 //     heartbeat lease.

@@ -39,6 +39,8 @@ class ShmSegment {
   static ShmSegment anonymous(std::int64_t bytes, bool shared);
 
   std::byte* data() const { return data_; }
+  /// Mapped length in bytes (0 when unmapped).
+  std::int64_t size() const { return size_; }
   /// True for a MAP_SHARED segment that forked children share.
   bool shared() const { return shared_; }
 

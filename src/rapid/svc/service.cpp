@@ -78,9 +78,12 @@ RuntimeService::RuntimeService(ServiceOptions options)
               "RuntimeService needs a positive budget, >= 1 worker and a "
               "queue limit >= 1");
   start_ns_ = now_ns();
+  contexts_.reserve(static_cast<std::size_t>(options_.workers));
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (std::int32_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    contexts_.push_back(std::make_unique<rt::RunContext>());
+    rt::RunContext* context = contexts_.back().get();
+    workers_.emplace_back([this, context] { worker_loop(*context); });
   }
 }
 
@@ -342,7 +345,12 @@ int RuntimeService::pick_locked() const {
   return best;
 }
 
-void RuntimeService::worker_loop() {
+const rt::RunContext& RuntimeService::worker_context(std::int32_t i) const {
+  RAPID_CHECK(i >= 0 && i < options_.workers, "no such service worker");
+  return *contexts_[static_cast<std::size_t>(i)];
+}
+
+void RuntimeService::worker_loop(rt::RunContext& context) {
   std::unique_lock<std::mutex> lock(m_);
   for (;;) {
     sweep_expired_locked();
@@ -366,7 +374,7 @@ void RuntimeService::worker_loop() {
     ++running_;
     lock.unlock();
 
-    execute(record, std::move(pending));
+    execute(record, std::move(pending), context);
 
     lock.lock();
     reserved_bytes_ -= need;
@@ -396,7 +404,8 @@ void RuntimeService::worker_loop() {
   }
 }
 
-void RuntimeService::execute(RunRecord& record, Pending pending) {
+void RuntimeService::execute(RunRecord& record, Pending pending,
+                             rt::RunContext& context) {
   const RunRequest& req = pending.request;
   Stopwatch exec_timer;
   // The run happens with m_ released, so every record field is staged in
@@ -446,7 +455,8 @@ void RuntimeService::execute(RunRecord& record, Pending pending) {
   try {
     outcome = rt::run_with_recovery(workload.plan, req.config,
                                     workload.make_init(),
-                                    workload.make_body(), options, ropts);
+                                    workload.make_body(), options, ropts,
+                                    &context);
     has_outcome = true;
     if (!outcome.failed && outcome.report.executable) {
       residual = workload.residual(*outcome.executor);
@@ -465,9 +475,6 @@ void RuntimeService::execute(RunRecord& record, Pending pending) {
       state = RunState::kFailed;
       reason = outcome.failed ? outcome.failure : outcome.report.failure;
     }
-    // Completed or not, drop the executor now: records outlive runs, and a
-    // parked arena would silently outlast its budget reservation.
-    outcome.executor.reset();
     if (tel_.bound) {
       // Fold the finished run's RunReport into the live plane: recovery
       // totals as counter deltas (each run's totals are final here, so a
@@ -490,6 +497,9 @@ void RuntimeService::execute(RunRecord& record, Pending pending) {
     state = RunState::kFailed;
     reason = cat("infrastructure error: ", e.what());
   }
+  // Whatever happened, drop the executor now: it leases the worker's
+  // context, which the next run needs, and records outlive runs.
+  outcome.executor.reset();
   commit();
 }
 

@@ -12,7 +12,9 @@
 //              reject (structured shortfall) | shed (bounded queue)
 //   dispatch-> reserve demand from the budget, backfill by priority,
 //              expire lapsed runs before they waste a worker
-//   execute -> run_with_recovery, per-run fault containment: a fault,
+//   execute -> run_with_recovery on the worker's RunContext (its rank
+//              threads and segment mapping outlive runs), per-run fault
+//              containment: a fault,
 //              checksum storm or dead worker process in one run restarts
 //              *that run* only; co-resident runs never pause
 //   deadline-> a run still in flight past its deadline is cooperatively
@@ -37,6 +39,7 @@
 
 #include "rapid/obs/telemetry.hpp"
 #include "rapid/rt/recovery.hpp"
+#include "rapid/rt/run_context.hpp"
 #include "rapid/svc/admission.hpp"
 #include "rapid/svc/plan_cache.hpp"
 
@@ -47,8 +50,10 @@ struct ServiceOptions {
   /// admitted run reserves its exact replayed demand for its whole
   /// execution; the sum of reservations never exceeds this.
   std::int64_t budget_bytes = 256ll << 20;
-  /// Persistent worker pool size: at most this many runs execute at once
-  /// (each run internally spins up its plan's processor threads).
+  /// Persistent worker pool size: at most this many runs execute at once.
+  /// Each worker keeps one rt::RunContext across its runs (rank threads
+  /// and one segment mapping), so the memory retained between runs is at
+  /// most `workers` x the largest layout admitted (docs/SERVICE.md).
   std::int32_t workers = 2;
   /// Bounded admission queue. A submit that would exceed this sheds the
   /// queued run with the earliest deadline (possibly the newcomer) —
@@ -107,7 +112,8 @@ struct RunRecord {
 
   /// Set for every run that dispatched (kCompleted/kFailed and mid-run
   /// kExpired). The executor inside is released once the residual has been
-  /// extracted, so finished runs hold no arena memory.
+  /// extracted, so finished runs hold no arena memory and no lease on the
+  /// worker's context.
   bool has_outcome = false;
   rt::RecoveryRun outcome;
   /// Workload residual of a completed run (num::App::residual): bit-exact
@@ -167,6 +173,11 @@ class RuntimeService {
   ServiceReport report() const;
   const ServiceOptions& options() const { return options_; }
 
+  /// Worker `i`'s run context. Only its worker touches it during a run:
+  /// read it while that worker is idle (after wait() of the last run it
+  /// took).
+  const rt::RunContext& worker_context(std::int32_t i) const;
+
   /// Registers the service's metric families in `registry` and turns on
   /// inline instrumentation: every state transition that bumps an internal
   /// counter also bumps the matching registry counter, so snapshots
@@ -192,13 +203,13 @@ class RuntimeService {
     std::int64_t deadline_ns = 0;
   };
 
-  void worker_loop();
+  void worker_loop(rt::RunContext& context);
   /// Marks every queued entry whose deadline already lapsed as expired.
   void sweep_expired_locked();
   /// Index of the best dispatchable entry (fits the free budget; highest
   /// priority, then earliest deadline, then FIFO), or -1.
   int pick_locked() const;
-  void execute(RunRecord& record, Pending pending);
+  void execute(RunRecord& record, Pending pending, rt::RunContext& context);
   RunRecord& record_of(std::int64_t run_id);
 
   /// Registry instruments, resolved once at bind_telemetry(). All null
@@ -255,6 +266,8 @@ class RuntimeService {
   std::int64_t expired_ = 0;
   bool stopping_ = false;
 
+  /// One per worker; declared before workers_ so they outlive its joins.
+  std::vector<std::unique_ptr<rt::RunContext>> contexts_;
   std::vector<std::thread> workers_;
 };
 

@@ -228,11 +228,16 @@ TEST(FaultInjection, DroppedAddressPackageIsDiagnosedAsDeadlock) {
       // The rendered summary names states and the cycle for humans.
       const std::string text = report.summary();
       EXPECT_NE(text.find("wait-for cycle"), std::string::npos);
+      // The JSON artifact names each edge's kind, so the address-package
+      // edge is there without parsing `reason`.
+      const std::string json = report.to_json().dump();
+      EXPECT_NE(json.find("\"kind\": \"addr_package\""), std::string::npos)
+          << json;
       // CI artifact: dump the structured report when a directory is given.
       if (const char* dir = std::getenv("RAPID_STALL_REPORT_DIR")) {
         std::ofstream out(std::string(dir) + "/stall_report_" +
                           to_string(kind) + ".json");
-        out << report.to_json().dump();
+        out << json;
       }
     }
   }

@@ -13,7 +13,10 @@
 #include <vector>
 
 #include "rapid/obs/telemetry.hpp"
+#include "rapid/num/shm_workloads.hpp"
 #include "rapid/rt/faults.hpp"
+#include "rapid/rt/run_context.hpp"
+#include "rapid/rt/shm_transport.hpp"
 #include "rapid/svc/service.hpp"
 
 namespace rapid::svc {
@@ -275,6 +278,37 @@ TEST(Service, FaultInOneRunNeverPausesCoResidents) {
   const ServiceReport report = service.report();
   EXPECT_EQ(report.completed, 2);
   EXPECT_EQ(report.failed, 0);
+}
+
+TEST(Service, WorkerContextKeepsOneMappingOfTheLargestLayout) {
+  // One worker runs a large spec, then small ones. Between runs its context
+  // retains exactly one mapping, sized to the largest layout it served, and
+  // a run whose layout fits keeps that mapping where it is.
+  ServiceOptions options;
+  options.workers = 1;
+  RuntimeService service(options);
+  const auto layout_bytes = [](const RunRequest& req) {
+    const auto wl = num::build_shm_workload(req.spec);
+    return rt::ShmTransport::segment_bytes(
+        rt::ShmTransport::dims_for(wl->plan, req.config));
+  };
+  const RunRequest large = grid_request("lu:grid=8,block=4,procs=4");
+  const RunRequest small = grid_request("grid:rows=8,cols=8,procs=2");
+  ASSERT_LT(layout_bytes(small), layout_bytes(large));
+
+  const rt::RunContext& ctx = service.worker_context(0);
+  ASSERT_EQ(service.wait(service.submit(large)).state, RunState::kCompleted);
+  EXPECT_EQ(ctx.mapped_bytes(), layout_bytes(large));
+  const std::byte* base = ctx.mapping_base();
+  ASSERT_NE(base, nullptr);
+  for (int i = 0; i < 3; ++i) {
+    const RunRecord& r = service.wait(service.submit(small));
+    ASSERT_EQ(r.state, RunState::kCompleted) << r.reason;
+    EXPECT_EQ(r.residual, 0.0);
+    EXPECT_EQ(ctx.mapped_bytes(), layout_bytes(large));
+    EXPECT_EQ(ctx.mapping_base(), base);
+  }
+  EXPECT_EQ(ctx.crew_size(), 4);
 }
 
 }  // namespace
