@@ -1,34 +1,10 @@
 #include "rapid/rt/recovery.hpp"
 
-#include <chrono>
-#include <exception>
-#include <thread>
 #include <utility>
 
 #include "rapid/support/check.hpp"
 
 namespace rapid::rt {
-
-namespace {
-
-/// Growth of the restart backoff per further restart.
-constexpr double kRestartBackoffMultiplier = 2.0;
-
-/// Backoff before restart attempt `attempt` (2-based; attempt 2 waits the
-/// base, attempt 3 twice the base, ...). Saturates instead of overflowing
-/// for absurd attempt counts.
-std::int64_t restart_wait_us(const RunRecoveryOptions& ropts,
-                             std::int32_t attempt) {
-  if (ropts.restart_backoff_us <= 0 || attempt < 2) return 0;
-  double wait = static_cast<double>(ropts.restart_backoff_us);
-  for (std::int32_t k = 2; k < attempt; ++k) {
-    wait *= kRestartBackoffMultiplier;
-    if (wait > 1e15) return static_cast<std::int64_t>(1e15);
-  }
-  return static_cast<std::int64_t>(wait);
-}
-
-}  // namespace
 
 JsonValue RecoveryRun::to_json() const {
   JsonValue doc = JsonValue::object();
@@ -48,9 +24,6 @@ JsonValue RecoveryRun::to_json() const {
     if (pf) procs.push_back(pf->to_json());
   }
   doc["attempt_proc_failures"] = std::move(procs);
-  JsonValue waits = JsonValue::array();
-  for (const std::int64_t w : backoff_waits_us) waits.push_back(w);
-  doc["backoff_waits_us"] = std::move(waits);
   return doc;
 }
 
@@ -63,17 +36,7 @@ RecoveryRun run_with_recovery(const RunPlan& plan, const RunConfig& config,
   RecoveryRun out;
   out.attempt_deadline_us = options.attempt_deadline_us;
   RecoveryCounters accumulated;  // from failed attempts
-  std::int32_t failed_attempts = 0;
-  std::exception_ptr last_error;
-  for (std::int32_t attempt = 1; attempt <= ropts.max_run_attempts;
-       ++attempt) {
-    if (attempt > 1) {
-      const std::int64_t wait = restart_wait_us(ropts, attempt);
-      out.backoff_waits_us.push_back(wait);
-      if (wait > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(wait));
-      }
-    }
+  for (std::int32_t attempt = 1;; ++attempt) {
     ThreadedOptions opts = options;
     opts.run_attempt = attempt;
     auto exec =
@@ -82,59 +45,40 @@ RecoveryRun run_with_recovery(const RunPlan& plan, const RunConfig& config,
                 : std::make_unique<ThreadedExecutor>(plan, config, init, body,
                                                      opts);
     out.attempts = attempt;
+    bool cancelled = false;
     try {
       out.report = exec->run();
+      // Completed, or non-executable: a capacity failure is deterministic,
+      // so a restart cannot change it.
+      out.report.recovery.merge(accumulated);
+      out.report.recovery.run_attempts = attempt;
+      out.executor = std::move(exec);
+      return out;
     } catch (const RunCancelledError&) {
       // Cancellation (deadline lapse or an external cancel()) is terminal:
       // restarting cannot un-lapse a deadline, and the caller asked the run
-      // to stop. Surface the partial report instead of retrying.
-      const RunReport& partial = exec->last_report();
-      accumulated.merge(partial.recovery);
-      out.report = partial;
-      out.report.recovery = accumulated;
-      out.report.recovery.run_attempts = attempt;
-      out.failed = true;
-      out.failure_kind = partial.failure_kind;
-      out.failure = partial.failure;
-      out.attempt_failures.push_back(partial.failure);
-      out.executor = std::move(exec);
-      if (!ropts.capture_failure) throw;
-      return out;
+      // to stop.
+      cancelled = true;
     } catch (const Error&) {
-      // Deadlock/exhaustion or task failure: fold this attempt's partial
-      // counters in and restart from scratch (run() rebuilds all state).
-      last_error = std::current_exception();
-      const RunReport& partial = exec->last_report();
-      out.attempt_failures.push_back(partial.failure);
-      if (partial.proc_failure) {
-        out.attempt_proc_failures.push_back(partial.proc_failure);
-      }
-      accumulated.merge(partial.recovery);
-      accumulated.run_attempts = ++failed_attempts;
-      if (attempt == ropts.max_run_attempts && ropts.capture_failure) {
-        out.report = partial;
-        out.report.recovery = accumulated;
-        out.report.recovery.run_attempts = attempt;
-        out.failed = true;
-        out.failure_kind = partial.failure_kind;
-        out.failure = partial.failure;
-        out.executor = std::move(exec);
-        return out;
-      }
-      continue;
+      // Deadlock/exhaustion, a dead rank or a task failure: restart from
+      // scratch (run() rebuilds all state) while attempts remain.
     }
-    out.executor = std::move(exec);
-    if (!out.report.executable) {
-      // Capacity failure: deterministic, a restart cannot change it.
-      out.report.recovery.merge(accumulated);
-      out.report.recovery.run_attempts = attempt;
-      return out;
+    const RunReport& partial = exec->last_report();
+    out.attempt_failures.push_back(partial.failure);
+    if (partial.proc_failure) {
+      out.attempt_proc_failures.push_back(partial.proc_failure);
     }
-    out.report.recovery.merge(accumulated);
+    accumulated.merge(partial.recovery);
+    if (!cancelled && attempt < ropts.max_run_attempts) continue;
+    out.report = partial;
+    out.report.recovery = accumulated;
     out.report.recovery.run_attempts = attempt;
+    out.failed = true;
+    out.failure_kind = partial.failure_kind;
+    out.failure = partial.failure;
+    out.executor = std::move(exec);
     return out;
   }
-  std::rethrow_exception(last_error);
 }
 
 }  // namespace rapid::rt

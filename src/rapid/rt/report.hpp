@@ -41,8 +41,8 @@ class ProtocolDeadlockError : public Error {
       std::string what, std::shared_ptr<const StallReport> report = nullptr)
       : Error(std::move(what)), report_(std::move(report)) {}
 
-  /// The structured stall diagnosis, or nullptr (simulator deadlocks and
-  /// legacy paths carry text only).
+  /// The structured stall diagnosis, or nullptr when there is none (the
+  /// simulator's deadlocks carry text only).
   const StallReport* report() const { return report_.get(); }
 
  private:
@@ -93,11 +93,11 @@ struct RunReport;  // defined below
 /// cancelled run (a lapsed deadline only lapses further on a restart).
 class RunCancelledError : public Error {
  public:
-  explicit RunCancelledError(std::string what,
-                             std::shared_ptr<const RunReport> partial = {})
+  RunCancelledError(std::string what,
+                    std::shared_ptr<const RunReport> partial)
       : Error(std::move(what)), partial_(std::move(partial)) {}
 
-  /// The cancelled attempt's partial RunReport (null on legacy paths).
+  /// The cancelled attempt's partial RunReport.
   const std::shared_ptr<const RunReport>& partial() const { return partial_; }
 
  private:
@@ -142,10 +142,6 @@ struct RunConfig {
   /// the overhead of buffer managing"); larger values let a MAP finish
   /// without waiting for slow consumers — an ablatable design choice.
   std::int32_t mailbox_slots = 1;
-  /// Run the static plan auditor (rapid::verify) before executing. Capacity
-  /// findings surface as NonExecutableError (so RunReport::executable stays
-  /// the "∞" channel); protocol-level findings throw verify::AuditError.
-  bool audit = false;
   /// Enable the arena's size-class slab fast path (classes derived from the
   /// plan's per-processor volatile sizes; see ProcMemory). Placement can
   /// differ from the plain coalescing arena, so conformance/audit replays

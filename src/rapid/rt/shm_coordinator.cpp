@@ -13,7 +13,6 @@
 #include "rapid/rt/executor_impl.hpp"
 #include "rapid/support/log.hpp"
 #include "rapid/support/str.hpp"
-#include "rapid/verify/auditor.hpp"
 
 namespace rapid::rt {
 
@@ -147,7 +146,6 @@ RunReport Impl::run_shm() {
                     .string();
   }
   try {
-    if (config.audit) verify::audit_or_throw(plan, config);
     session = ShmSession::create(ShmTransport::dims_for(plan, config),
                                  options.lease_timeout_seconds);
     attach_transport(session->transport());
@@ -223,18 +221,16 @@ RunReport Impl::run_shm() {
 }
 
 /// One rank's run inside a forked worker process: a fresh Impl over the
-/// inherited plan, task bodies, config and options (the coordinator
-/// audited before forking; this process traces only its own rank), the
-/// unchanged protocol loop on the calling thread, then the counters
-/// published and the trace ring dumped for the coordinator to merge.
+/// inherited plan, task bodies, config and options (this process traces
+/// only its own rank), the unchanged protocol loop on the calling thread,
+/// then the counters published and the trace ring dumped for the
+/// coordinator to merge.
 int Impl::run_forked_worker(ProcId q, const std::string& trace_dir) {
   ShmTransport& transport = *tp;
   // A lambda so the catch below can turn *anything* escaping the worker
   // loop into a structured failure in the segment, never a silent nonzero
   // exit.
   auto inner = [&]() -> int {
-    RunConfig worker_config = config;
-    worker_config.audit = false;
     ThreadedOptions worker_options = options;
     obs::TraceConfig tc;
     tc.enabled = tracing;
@@ -245,7 +241,7 @@ int Impl::run_forked_worker(ProcId q, const std::string& trace_dir) {
     obs::Trace local_trace(plan.num_procs, tc);
     worker_options.trace = tracing ? &local_trace : nullptr;
 
-    Impl impl(plan, worker_config, init, body, worker_options, nullptr);
+    Impl impl(plan, config, init, body, worker_options, nullptr);
     impl.reset_run_state();
     impl.attach_transport(transport);
     set_log_thread_proc(q);

@@ -12,7 +12,6 @@
 #include "rapid/obs/trace.hpp"
 #include "rapid/rt/map_engine.hpp"
 #include "rapid/support/str.hpp"
-#include "rapid/verify/auditor.hpp"
 
 namespace rapid::rt {
 
@@ -466,7 +465,6 @@ class Simulator {
 RunReport simulate(const RunPlan& plan, const RunConfig& config,
                    obs::Trace* trace) {
   try {
-    if (config.audit) verify::audit_or_throw(plan, config);
     if (trace != nullptr && trace->enabled()) {
       RAPID_CHECK(trace->num_procs() >= plan.num_procs,
                   "the Trace is sized for fewer processors than the plan");

@@ -13,7 +13,6 @@
 #include "rapid/support/checksum.hpp"
 #include "rapid/support/log.hpp"
 #include "rapid/support/str.hpp"
-#include "rapid/verify/auditor.hpp"
 
 namespace rapid::rt {
 
@@ -628,7 +627,6 @@ RunReport Impl::finish_run(RunReport report) {
 RunReport Impl::run_inproc() {
   RunReport report = begin_run();
   try {
-    if (config.audit) verify::audit_or_throw(plan, config);
     attach_transport(
         ctx.transport_for(ShmTransport::dims_for(plan, config)));
     for (ProcId q = 0; q < plan.num_procs; ++q) {

@@ -1,5 +1,5 @@
 // Exit-code contract shared by every CLI in this repo (rapid_check,
-// rapid_verify, rapid_trace, rapid_serve, rapid_top, bench_service, …):
+// rapid_trace, rapid_serve, rapid_top, bench_service, …):
 //
 //   0  clean — the tool ran and found nothing wrong
 //   1  findings — the tool ran to completion and the thing it checks is

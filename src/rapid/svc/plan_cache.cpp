@@ -8,9 +8,6 @@
 
 namespace rapid::svc {
 
-PlanCache::PlanCache(std::size_t max_entries)
-    : max_entries_(max_entries == 0 ? 1 : max_entries) {}
-
 std::string PlanCache::key(const std::string& spec,
                            const rt::RunConfig& config) {
   return cat(spec, "|cap=", config.capacity_per_proc,
@@ -41,7 +38,7 @@ std::shared_ptr<const CachedPlan> PlanCache::get(
   entry->demand = compute_demand(entry->workload->plan, config);
   lru_.emplace_front(k, entry);
   index_[k] = lru_.begin();
-  if (lru_.size() > max_entries_) {
+  if (lru_.size() > kMaxEntries) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
   }

@@ -35,7 +35,8 @@ struct CachedPlan {
 
 class PlanCache {
  public:
-  explicit PlanCache(std::size_t max_entries = 32);
+  /// LRU capacity. perfbench's serve_mix sizes its cold tail against it.
+  static constexpr std::size_t kMaxEntries = 32;
 
   /// Returns the cached entry for (spec, config), building it on a miss.
   /// Throws rapid::Error for a malformed or unknown spec (the service turns
@@ -52,7 +53,6 @@ class PlanCache {
   static std::string key(const std::string& spec,
                          const rt::RunConfig& config);
 
-  const std::size_t max_entries_;
   mutable std::mutex m_;
   /// LRU order, most recent first; the map points into the list.
   std::list<std::pair<std::string, std::shared_ptr<const CachedPlan>>> lru_;

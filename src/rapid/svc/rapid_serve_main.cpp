@@ -14,11 +14,9 @@
 //   deadline_us=<n>      per-run deadline, 0 = none (default 0)
 //   priority=<n>         higher dispatches first    (default 0)
 //   attempts=<n>         restart attempt cap        (default 3)
-//   backoff_us=<n>       restart backoff base      (default 0)
 //   faults=<preset>      addr|put|slow|park|corrupt|dup (arms retry too)
 //   seed=<n>             seed for the fault preset  (default 1)
 //   active=<0|1>         paper's active memory      (default 1)
-//   slab=<0|1>           slab arena fast path       (default 0)
 //
 // Every line is parsed before the first run is submitted, and numbers
 // parse strictly (support/str.hpp parse_number), so a malformed line exits
@@ -79,17 +77,12 @@ svc::RunRequest parse_line(const std::string& line, std::int64_t line_no) {
     } else if (key == "attempts") {
       req.recovery.max_run_attempts =
           parse_number<std::int32_t>(where, key, val);
-    } else if (key == "backoff_us") {
-      req.recovery.restart_backoff_us =
-          parse_number<std::int64_t>(where, key, val);
     } else if (key == "faults") {
       fault_preset = val;
     } else if (key == "seed") {
       fault_seed = parse_number<std::uint64_t>(where, key, val);
     } else if (key == "active") {
       req.config.active_memory = parse_number<int>(where, key, val) != 0;
-    } else if (key == "slab") {
-      req.config.slab_arena = parse_number<int>(where, key, val) != 0;
     } else {
       throw Error(cat(where, ": unknown key \"", key, "\""));
     }
@@ -112,7 +105,6 @@ int main(int argc, char** argv) {
                "global capacity budget in bytes");
   flags.define("workers", "2", "worker pool size (concurrent runs)");
   flags.define("queue", "16", "bounded admission-queue limit");
-  flags.define("cache", "32", "plan-cache entries");
   flags.define("json", "", "write the full service document to this path");
   flags.define("report-dir", "",
                "also write each run's record as <dir>/run_<id>.json");
@@ -153,8 +145,6 @@ int main(int argc, char** argv) {
     sopts.budget_bytes = flags.get_int("budget");
     sopts.workers = static_cast<std::int32_t>(flags.get_int("workers"));
     sopts.queue_limit = static_cast<std::int32_t>(flags.get_int("queue"));
-    sopts.plan_cache_entries =
-        static_cast<std::size_t>(flags.get_int("cache"));
     svc::RuntimeService service(sopts);
 
     // Telemetry plane: bind the service's instruments, sample its gauges

@@ -72,7 +72,7 @@ JsonValue ServiceReport::to_json() const {
 }
 
 RuntimeService::RuntimeService(ServiceOptions options)
-    : options_(std::move(options)), cache_(options_.plan_cache_entries) {
+    : options_(std::move(options)) {
   RAPID_CHECK(options_.budget_bytes > 0 && options_.workers >= 1 &&
                   options_.queue_limit >= 1,
               "RuntimeService needs a positive budget, >= 1 worker and a "
@@ -448,15 +448,13 @@ void RuntimeService::execute(RunRecord& record, Pending pending,
        options.attempt_deadline_us > remaining_us)) {
     options.attempt_deadline_us = remaining_us;
   }
-  rt::RunRecoveryOptions ropts = req.recovery;
-  ropts.capture_failure = true;
 
   const num::ShmWorkload& workload = *pending.plan->workload;
   try {
     outcome = rt::run_with_recovery(workload.plan, req.config,
                                     workload.make_init(),
-                                    workload.make_body(), options, ropts,
-                                    &context);
+                                    workload.make_body(), options,
+                                    req.recovery, &context);
     has_outcome = true;
     if (!outcome.failed && outcome.report.executable) {
       residual = workload.residual(*outcome.executor);

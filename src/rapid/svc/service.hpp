@@ -5,8 +5,8 @@
 // service composes the pieces the previous PRs built — symbolic-replay
 // admission (svc/admission.hpp), the plan cache (svc/plan_cache.hpp),
 // per-run cooperative cancellation (ThreadedOptions::attempt_deadline_us),
-// and run-level recovery (rt/recovery.hpp in capture_failure mode) — into
-// one overload-surviving loop:
+// and run-level recovery (rt/recovery.hpp) — into one overload-surviving
+// loop:
 //
 //   submit  -> build/cache plan -> exact byte demand -> admit | queue |
 //              reject (structured shortfall) | shed (bounded queue)
@@ -59,7 +59,6 @@ struct ServiceOptions {
   /// queued run with the earliest deadline (possibly the newcomer) —
   /// overload back-pressure instead of unbounded growth.
   std::int32_t queue_limit = 16;
-  std::size_t plan_cache_entries = 32;
 };
 
 struct RunRequest {
@@ -76,8 +75,8 @@ struct RunRequest {
   /// Per-run executor knobs (faults, retry policy, transport, tracing…).
   /// The service overrides run_id and attempt_deadline_us.
   rt::ThreadedOptions options;
-  /// Per-run restart policy (attempt cap, backoff). capture_failure is
-  /// forced on — the service never lets a run escape as an exception.
+  /// Per-run restart attempt cap. run_with_recovery returns every failure
+  /// structured, so a run never escapes the service as an exception.
   rt::RunRecoveryOptions recovery;
 };
 

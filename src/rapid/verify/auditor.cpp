@@ -923,29 +923,4 @@ AuditReport audit_plan(const graph::TaskGraph& graph,
   return Auditor(graph, schedule, plan, options).run();
 }
 
-void audit_or_throw(const rt::RunPlan& plan, const rt::RunConfig& config) {
-  RAPID_CHECK(plan.graph != nullptr, "plan has no graph");
-  AuditOptions options;
-  options.capacity_per_proc = config.capacity_per_proc;
-  options.active_memory = config.active_memory;
-  options.mailbox_slots = config.mailbox_slots;
-  options.alloc_policy = config.alloc_policy;
-  options.slab_arena = config.slab_arena;
-  const AuditReport report =
-      audit_plan(*plan.graph, plan.schedule, plan, options);
-  if (report.clean()) return;
-  bool only_capacity = true;
-  for (const Finding& f : report.findings) {
-    if (f.severity == Severity::kError && f.rule.rfind("CAP-", 0) != 0) {
-      only_capacity = false;
-      break;
-    }
-  }
-  // Capacity findings keep the executors' NonExecutableError semantics
-  // (reported as executable=false, the paper's "∞" entries); protocol-level
-  // findings are hard errors.
-  if (only_capacity) throw rt::NonExecutableError(report.to_string());
-  throw AuditError(report.to_string());
-}
-
 }  // namespace rapid::verify

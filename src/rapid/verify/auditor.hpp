@@ -116,16 +116,4 @@ AuditReport audit_plan(const graph::TaskGraph& graph,
                        const rt::RunPlan& plan,
                        const AuditOptions& options = {});
 
-/// Thrown by audit_or_throw when a plan fails a protocol-level rule.
-class AuditError : public Error {
- public:
-  using Error::Error;
-};
-
-/// Executor entry point (RunConfig::audit): audits the plan under the
-/// config's capacity/mode and throws on ERROR findings — NonExecutableError
-/// if only capacity rules (CAP-*) failed, so the executors' "report
-/// executable=false" path is preserved, AuditError otherwise.
-void audit_or_throw(const rt::RunPlan& plan, const rt::RunConfig& config);
-
 }  // namespace rapid::verify

@@ -51,9 +51,9 @@ int run(const std::string& cmd, const std::string& out = "/dev/null") {
 }
 
 const std::vector<std::string> kAllClis = {
-    "src/rapid/verify/rapid_check", "src/rapid/verify/rapid_verify",
-    "src/rapid/obs/rapid_trace",    "src/rapid/obs/rapid_top",
-    "src/rapid/svc/rapid_serve",    "bench/bench_service",
+    "src/rapid/verify/rapid_check", "src/rapid/obs/rapid_trace",
+    "src/rapid/obs/rapid_top",      "src/rapid/svc/rapid_serve",
+    "bench/bench_service",
 };
 
 TEST(CliExitCodes, HelpExitsOkOnEveryBinary) {
@@ -78,6 +78,20 @@ TEST(CliExitCodes, UnknownFlagIsInfraErrorOnEveryBinary) {
     ++tested;
   }
   ASSERT_GT(tested, 0) << "no CLI binaries found under " << build_root();
+}
+
+TEST(CliExitCodes, CheckStaticStageAuditsStaticOnlyApps) {
+  const std::string bin = binary("src/rapid/verify/rapid_check");
+  if (bin.empty()) GTEST_SKIP() << "rapid_check not built";
+  // nbody has no traced runs: it gets the plan audit alone, whose
+  // MBX-CROSS/REC-CROSS advisories never fail the check.
+  EXPECT_EQ(run(bin + " --workload=nbody --stages=static"), kExitOk);
+  EXPECT_EQ(run(bin + " --workload=nbody"), kExitOk);
+  // An unknown workload or stage, or a selection that checks nothing,
+  // is not a clean check.
+  EXPECT_EQ(run(bin + " --workload=nosuch"), kExitInfraError);
+  EXPECT_EQ(run(bin + " --stages=static,nosuch"), kExitInfraError);
+  EXPECT_EQ(run(bin + " --workload=nbody --stages=traced"), kExitInfraError);
 }
 
 TEST(CliExitCodes, ServeDistinguishesFindingsFromInfraError) {

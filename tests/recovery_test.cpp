@@ -400,9 +400,20 @@ TEST(Recovery, RunWithRecoveryGivesUpAfterMaxAttempts) {
   // induced on every attempt: all restarts fail the same way
   RunRecoveryOptions ropts;
   ropts.max_run_attempts = 2;
-  EXPECT_THROW(run_with_recovery(app.plan, config, app.make_init(),
-                                 app.make_body(), options, ropts),
-               ExecutionFailedError);
+  const RecoveryRun out = run_with_recovery(
+      app.plan, config, app.make_init(), app.make_body(), options, ropts);
+  EXPECT_TRUE(out.failed);
+  EXPECT_EQ(out.failure_kind, FailureKind::kInjectedFault);
+  EXPECT_EQ(out.attempts, 2);
+  EXPECT_EQ(out.report.recovery.run_attempts, 2);
+  ASSERT_EQ(out.attempt_failures.size(), 2u);
+  for (const std::string& failure : out.attempt_failures) {
+    EXPECT_NE(failure.find("injected fault"), std::string::npos) << failure;
+  }
+  EXPECT_EQ(out.failure, out.attempt_failures.back());
+  // The last attempt's executor survives with its partial report.
+  ASSERT_NE(out.executor, nullptr);
+  EXPECT_EQ(out.executor->last_report().failure, out.failure);
 }
 
 TEST(Recovery, RunWithRecoveryReportsNonExecutableWithoutRestarting) {

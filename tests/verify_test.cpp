@@ -11,7 +11,6 @@
 #include "rapid/num/workloads.hpp"
 #include "rapid/num/cholesky_app.hpp"
 #include "rapid/rt/sim_executor.hpp"
-#include "rapid/rt/threaded_executor.hpp"
 #include "rapid/sched/liveness.hpp"
 #include "rapid/sched/mapping.hpp"
 #include "rapid/sched/ordering.hpp"
@@ -395,72 +394,25 @@ TEST(Auditor, UnrecoverableCrossedWaitIsFlaggedRecCross) {
   EXPECT_FALSE(audit_plan(g, schedule, plan, options).has("REC-CROSS"));
 }
 
-// ---- executor integration (RunConfig::audit) -----------------------------
+// ---- missing lifetimes ----------------------------------------------------
 
-TEST(Auditor, SimulatorAuditOptionPassesCleanPlans) {
-  Fixture f;
-  rt::RunConfig config;
-  config.params = machine::MachineParams::cray_t3d(2);
-  config.capacity_per_proc = f.liveness.min_mem();
-  config.audit = true;
-  const rt::RunReport report = rt::simulate(f.plan, config);
-  EXPECT_TRUE(report.executable);
-  EXPECT_GT(report.tasks_executed, 0);
-}
-
-TEST(Auditor, SimulatorAuditKeepsNonExecutableSemantics) {
-  Fixture f;
-  rt::RunConfig config;
-  config.params = machine::MachineParams::cray_t3d(2);
-  config.capacity_per_proc = f.liveness.min_mem() - 1;
-  config.audit = true;
-  // Capacity findings must stay on the executable=false channel, and the
-  // auditor's diagnosis replaces the runtime's.
-  const rt::RunReport report = rt::simulate(f.plan, config);
-  EXPECT_FALSE(report.executable);
-  EXPECT_NE(report.failure.find("CAP-MAP"), std::string::npos)
-      << report.failure;
-}
-
-TEST(Auditor, SimulatorAuditThrowsOnProtocolCorruption) {
+TEST(Auditor, ClearedVolatilesAreLiveMissing) {
   Fixture f;
   f.plan.procs[0].volatiles.clear();
   f.plan.procs[1].volatiles.clear();
-  rt::RunConfig config;
-  config.params = machine::MachineParams::cray_t3d(2);
-  config.capacity_per_proc = f.liveness.min_mem();
-  config.audit = true;
-  EXPECT_THROW(rt::simulate(f.plan, config), AuditError);
-}
-
-TEST(Auditor, ThreadedExecutorAuditOptionWorks) {
-  // Unit-size int64 objects as in the quickstart, audited before running.
-  graph::TaskGraph g;
-  const graph::TaskGraph proto = graph::make_paper_figure2_graph();
-  for (graph::DataId d = 0; d < proto.num_data(); ++d) {
-    g.add_data(proto.data(d).name, 8, proto.data(d).owner);
-  }
-  for (graph::TaskId t = 0; t < proto.num_tasks(); ++t) {
-    const auto& task = proto.task(t);
-    g.add_task(task.name, task.reads, task.writes, task.flops,
-               task.commute_group);
-  }
-  g.finalize();
-  const auto assignment = sched::owner_compute_tasks(g, 2);
-  const auto schedule = sched::schedule_mpo(
-      g, assignment, 2, machine::MachineParams::cray_t3d(2));
-  const rt::RunPlan plan = rt::build_run_plan(g, schedule);
-  rt::RunConfig config;
-  config.params = machine::MachineParams::cray_t3d(2);
-  config.capacity_per_proc = sched::analyze_liveness(g, schedule).min_mem();
-  config.audit = true;
-  rt::ThreadedExecutor exec(
-      plan, config,
-      [](graph::DataId, std::span<std::byte> buf) {
-        std::fill(buf.begin(), buf.end(), std::byte{0});
-      },
-      [](graph::TaskId, rt::ObjectResolver&) {});
-  EXPECT_TRUE(exec.run().executable);
+  AuditOptions options;
+  options.capacity_per_proc = f.liveness.min_mem();
+  const AuditReport report =
+      audit_plan(f.graph, f.schedule, f.plan, options);
+  EXPECT_FALSE(report.clean());
+  const Finding* finding = report.find("LIVE-MISSING");
+  ASSERT_NE(finding, nullptr) << report.to_string();
+  EXPECT_EQ(finding->severity, Severity::kError);
+  EXPECT_NE(finding->object, graph::kInvalidData);
+  // The blamed task really accesses the object at the blamed position.
+  ASSERT_GE(finding->proc, 0);
+  ASSERT_GE(finding->position, 0);
+  EXPECT_EQ(f.schedule.order[finding->proc][finding->position], finding->task);
 }
 
 }  // namespace

@@ -73,8 +73,9 @@ constexpr Golden kSpecs[] = {
 // tool now composes from those flags: rapid_check (cholesky/lu, scale 0.4,
 // block 10, p 4, and its p=2 CI step --scale=0.2 --block=8 --procs=2, kept
 // beside the p=4 plans at the same scale and block), rapid_trace (scale
-// 0.5, block 12, p 8), rapid_verify (scale 0.25, block 6, p 4, MPO) and
-// bench_ablation_allocator (--scale=0.25, p 8).
+// 0.5, block 12, p 8), bench_ablation_allocator (--scale=0.25, p 8), and
+// the four seed apps at scale 0.25, block 6, p 4, MPO, which no tool flag
+// builds any more but which stay pinned.
 constexpr Golden kToolPlans[] = {
     {"cholesky:matrix=bcsstk24,scale=0.4,block=10,procs=4,sched=rcp",
      16371592417107167832ull, 93888, 218400},
