@@ -1,6 +1,7 @@
 #include "rapid/obs/trace.hpp"
 
 #include <algorithm>
+#include <new>
 
 #include "rapid/support/check.hpp"
 
@@ -77,46 +78,45 @@ std::uint64_t round_up_pow2(std::int64_t n) {
 }  // namespace
 
 Trace::Trace(int num_procs, TraceConfig config)
-    : enabled_(config.enabled), epoch_ns_(now_ns()) {
+    : num_procs_(num_procs) {
   RAPID_CHECK(num_procs > 0, "trace needs at least one processor");
-  rings_.resize(static_cast<std::size_t>(num_procs));
-  if (!enabled_) return;
 #ifdef RAPID_TSC_CLOCK
   // Calibrate here (first Trace in the process pays ~200us) so record()
   // never touches the magic-static guard on the hot path.
   ns_per_tick_ = detail::tsc_calibration().ns_per_tick;
   epoch_tsc_ = __rdtsc();
+#else
+  epoch_ns_ = now_ns();
 #endif
   const std::uint64_t cap =
       round_up_pow2(std::max<std::int32_t>(config.events_per_proc, 64));
   capacity_ = static_cast<std::int64_t>(cap);
-  for (int q = 0; q < num_procs; ++q) {
-    if (config.sole_proc >= 0 && q != config.sole_proc) continue;
-    Ring& ring = rings_[static_cast<std::size_t>(q)];
-    ring.buf.resize(cap);
-    ring.mask = cap - 1;
-  }
+  mask_ = cap - 1;
+  // Shared, so ranks forked after this point append where the caller
+  // reads; in-proc ranks use the same mapping. Pages are zero until first
+  // touched, so an unfilled ring costs no memory.
+  const std::int64_t header_bytes =
+      static_cast<std::int64_t>(sizeof(RingHeader)) * num_procs;
+  mapping_ = ShmSegment::anonymous(
+      header_bytes + capacity_ * num_procs *
+                         static_cast<std::int64_t>(sizeof(TraceEvent)),
+      /*shared=*/true);
+  headers_ = reinterpret_cast<RingHeader*>(mapping_.data());
+  for (int q = 0; q < num_procs; ++q) new (&headers_[q]) RingHeader{0};
+  events_ = reinterpret_cast<TraceEvent*>(mapping_.data() + header_bytes);
 }
 
 std::vector<TraceEvent> Trace::events(int proc) const {
-  const Ring& ring = rings_[static_cast<std::size_t>(proc)];
+  const std::int64_t count = recorded(proc);
+  const std::int64_t n = std::min(count, capacity_);
+  const TraceEvent* buf = ring(proc);
   std::vector<TraceEvent> out;
-  if (ring.buf.empty() || ring.count == 0) return out;
-  const std::int64_t cap = static_cast<std::int64_t>(ring.buf.size());
-  const std::int64_t n = std::min(ring.count, cap);
   out.reserve(static_cast<std::size_t>(n));
-  // Oldest surviving record sits at count - n (mod cap).
-  for (std::int64_t i = ring.count - n; i < ring.count; ++i) {
-    out.push_back(ring.buf[static_cast<std::size_t>(i) & ring.mask]);
+  // Oldest surviving record sits at count - n (mod capacity).
+  for (std::int64_t i = count - n; i < count; ++i) {
+    out.push_back(buf[static_cast<std::uint64_t>(i) & mask_]);
   }
   return out;
-}
-
-std::int64_t Trace::dropped(int proc) const {
-  const Ring& ring = rings_[static_cast<std::size_t>(proc)];
-  if (ring.buf.empty()) return ring.lost;
-  const std::int64_t cap = static_cast<std::int64_t>(ring.buf.size());
-  return (ring.count > cap ? ring.count - cap : 0) + ring.lost;
 }
 
 std::int64_t Trace::total_events() const {

@@ -1,9 +1,14 @@
 // Per-processor ring-buffer event tracer — the repo's observability
 // substrate. One fixed-size ring per processor, written only by that
-// processor's worker thread (single writer, no locks, no allocation on the
-// hot path) and read only after the run joins its threads, so the
-// thread::join() happens-before edge is the only synchronization needed.
-// When tracing is disabled the whole record path is one predictable branch.
+// processor's rank (single writer, no locks, no allocation on the hot path)
+// and read only after the run has joined or reaped its ranks. Every ring,
+// header and events alike, lives in one shared anonymous mapping, so a rank
+// that is a forked worker process appends to the very ring the coordinator
+// reads, stamped against the epoch it inherited: one clock, one trace, on
+// both transports. Each append publishes the ring's count with a release
+// store after the record's fields, so the record a rank is killed in the
+// middle of is never counted (record_at names the one wrapped-ring
+// exception). No tracing is a null Trace pointer in the executors.
 //
 // Event vocabulary follows the paper's execution model: the five protocol
 // states REC/EXE/SND/MAP/END (Fig. 3(b)), content puts and their
@@ -15,9 +20,11 @@
 // (Table 1 / Fig. 7) without asking the arena anything at run end.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "rapid/support/shm.hpp"
 #include "rapid/support/stopwatch.hpp"
 
 namespace rapid::obs {
@@ -84,27 +91,17 @@ struct TraceEvent {
 static_assert(sizeof(TraceEvent) == 32, "trace records are 32-byte packed");
 
 struct TraceConfig {
-  bool enabled = true;
   /// Ring capacity per processor, rounded up to a power of two. When a
   /// ring overflows the oldest events are overwritten and dropped() grows;
   /// exporters handle the truncated prefix gracefully.
   std::int32_t events_per_proc = 1 << 16;
-  /// When >= 0, only this processor's ring is allocated and every other
-  /// ring stays empty (and must not be recorded into): a shm worker process
-  /// traces just its own rank.
-  std::int32_t sole_proc = -1;
 };
 
 class Trace {
  public:
   Trace(int num_procs, TraceConfig config = {});
 
-  bool enabled() const { return enabled_; }
-  int num_procs() const { return static_cast<int>(rings_.size()); }
-  /// Ring capacity per processor: events_per_proc rounded up to a power of
-  /// two (0 when disabled).
-  std::int64_t capacity() const { return capacity_; }
-  std::int64_t epoch_ns() const { return epoch_ns_; }
+  int num_procs() const { return num_procs_; }
 
   /// Owning run id (RunReport::run_id), tagged by the executor before any
   /// worker starts so exporters can attribute every ring record to its
@@ -115,12 +112,11 @@ class Trace {
   std::int64_t run_id() const { return run_id_; }
 
   /// Hot path: append one event stamped with the calibrated TSC clock
-  /// (now_ns() where no TSC is available). Only the worker thread that owns
-  /// `proc` may call this during a run.
+  /// (now_ns() where no TSC is available). Only the rank that owns `proc`
+  /// may call this during a run.
   void record(int proc, EventKind kind, std::int32_t a = 0,
               std::int32_t b = 0, std::int32_t c = 0,
               std::int64_t bytes = 0, std::uint16_t d = 0) {
-    if (!enabled_) return;
 #ifdef RAPID_TSC_CLOCK
     std::int64_t t = static_cast<std::int64_t>(
         static_cast<double>(__rdtsc() - epoch_tsc_) * ns_per_tick_);
@@ -136,10 +132,9 @@ class Trace {
   void record_at(int proc, std::int64_t t_ns, EventKind kind,
                  std::int32_t a = 0, std::int32_t b = 0, std::int32_t c = 0,
                  std::int64_t bytes = 0, std::uint16_t d = 0) {
-    if (!enabled_) return;
-    Ring& ring = rings_[static_cast<std::size_t>(proc)];
-    TraceEvent& e =
-        ring.buf[static_cast<std::size_t>(ring.count) & ring.mask];
+    std::atomic_ref<std::int64_t> count(headers_[proc].count);
+    const std::int64_t n = count.load(std::memory_order_relaxed);
+    TraceEvent& e = ring(proc)[static_cast<std::uint64_t>(n) & mask_];
     e.t_ns = t_ns;
     e.bytes = bytes;
     e.a = a;
@@ -147,7 +142,10 @@ class Trace {
     e.c = c;
     e.kind = kind;
     e.d = d;
-    ++ring.count;
+    // Publish after the fields: a reader never counts a half-written
+    // record. If the ring has wrapped, a rank killed between the fields and
+    // this store leaves its oldest survivor torn between two whole records.
+    count.store(n + 1, std::memory_order_release);
   }
 
   /// Events for one processor, oldest first (post-run only).
@@ -155,39 +153,48 @@ class Trace {
 
   /// Events recorded for `proc` in total (including overwritten ones).
   std::int64_t recorded(int proc) const {
-    const Ring& ring = rings_[static_cast<std::size_t>(proc)];
-    return ring.count + ring.lost;
+    return std::atomic_ref<std::int64_t>(headers_[proc].count)
+        .load(std::memory_order_acquire);
   }
 
   /// Events lost to ring overflow for `proc`.
-  std::int64_t dropped(int proc) const;
-
-  /// Counts `events` that `proc` recorded but that never reached this ring
-  /// (a merged worker ring's overflow) in recorded() and dropped().
-  void note_lost(int proc, std::int64_t events) {
-    rings_[static_cast<std::size_t>(proc)].lost += events;
+  std::int64_t dropped(int proc) const {
+    const std::int64_t n = recorded(proc);
+    return n > capacity_ ? n - capacity_ : 0;
   }
 
   std::int64_t total_events() const;
   std::int64_t total_dropped() const;
 
  private:
-  struct alignas(64) Ring {
-    std::vector<TraceEvent> buf;
-    std::uint64_t mask = 0;
-    std::int64_t count = 0;
-    std::int64_t lost = 0;  // see note_lost
+  /// A ring's header, in the mapping with the events so a forked rank's
+  /// appends reach the coordinator. One cache line per ring.
+  struct alignas(64) RingHeader {
+    std::int64_t count;  // records ever appended
   };
+  static_assert(std::atomic_ref<std::int64_t>::required_alignment <=
+                alignof(std::int64_t));
 
-  bool enabled_;
-  std::int64_t epoch_ns_;
+  TraceEvent* ring(int proc) const {
+    return events_ + static_cast<std::int64_t>(proc) * capacity_;
+  }
+
+  int num_procs_;
   std::int64_t run_id_ = 0;
-  std::int64_t capacity_ = 0;
 #ifdef RAPID_TSC_CLOCK
   std::uint64_t epoch_tsc_ = 0;
   double ns_per_tick_ = 0.0;
+#else
+  std::int64_t epoch_ns_ = 0;
 #endif
-  std::vector<Ring> rings_;
+  /// Ring capacity per processor: events_per_proc rounded up to a power of
+  /// two.
+  std::int64_t capacity_ = 0;
+  std::uint64_t mask_ = 0;
+  /// headers_[num_procs_], then num_procs_ rings of capacity_ events.
+  ShmSegment mapping_;
+  RingHeader* headers_ = nullptr;
+  TraceEvent* events_ = nullptr;
 };
 
 }  // namespace rapid::obs

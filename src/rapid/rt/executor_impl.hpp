@@ -10,7 +10,7 @@
 //                         and blocked-wait publication, setup, run_inproc,
 //                         the public API
 //   shm_coordinator.cpp   run_shm, the forked worker's run, proc-failure
-//                         diagnosis, trace merge
+//                         diagnosis
 //
 // The readiness checks (task_ready, content_trusted) live with the step
 // loop, their only caller, which runs them on every poll: the build has no
@@ -336,21 +336,20 @@ struct ThreadedExecutor::Impl {
   const CounterBlock& finished_counters(ProcId q);
   void reset_run_state();
   void attach_transport(ShmTransport& transport);
-  void setup_proc_state(ProcId q, bool install_free_hook);
+  void setup_proc_state(ProcId q);
   void setup_epochs_and_baseline();
   void record_heap_baseline(ProcId q);
   RunReport begin_run();
-  RunReport report_nonexecutable(RunReport report, const std::exception& e);
+  bool prepare_ranks(ShmTransport& transport, RunReport& report);
   RunReport finish_run(RunReport report);
   RunReport run_inproc();
 
   // ---- shm coordinator (shm_coordinator.cpp) ---------------------------
-  int run_forked_worker(ProcId q, const std::string& trace_dir);
+  int run_forked_worker(ProcId q);
   void declare_dead(ProcId dead, const char* detected_by, int sig, int code,
                     double lease_age);
   bool reap_dead_ranks();
   bool lease_lapsed();
-  void merge_worker_traces(const std::string& dir);
   RunReport run_shm();
 };
 

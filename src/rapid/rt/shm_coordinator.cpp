@@ -1,17 +1,13 @@
 // The shm coordinator: run_shm (segment, forked worker processes,
 // teardown), the liveness poll the progress monitor runs on shm (waitpid
-// reaping, lease lapse, dead-rank diagnosis), the merge of the workers'
-// trace dumps, and run_forked_worker — one rank's protocol loop inside a
-// forked worker process.
-#include <filesystem>
-
+// reaping, lease lapse, dead-rank diagnosis), and run_forked_worker — one
+// rank's protocol loop inside a forked worker process, on the executor
+// state the coordinator prepared. Worker processes trace straight into the
+// caller's Trace, whose rings they share with the coordinator.
 #include <signal.h>
-#include <unistd.h>
 
 #include "rapid/obs/metrics.hpp"
-#include "rapid/obs/trace_io.hpp"
 #include "rapid/rt/executor_impl.hpp"
-#include "rapid/support/log.hpp"
 #include "rapid/support/str.hpp"
 
 namespace rapid::rt {
@@ -105,67 +101,19 @@ bool Impl::lease_lapsed() {
   return false;
 }
 
-/// Merges the per-rank trace dumps the workers left in `dir` into the
-/// session Trace (epoch-rebased; see obs/trace_io.hpp).
-void Impl::merge_worker_traces(const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) {
-    RAPID_WARN("shm trace merge: cannot read " << dir << ": "
-                                               << ec.message());
-    return;
-  }
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.size() < 11 || name[0] != 'p' ||
-        name.rfind(".trace.bin") != name.size() - 10) {
-      continue;
-    }
-    try {
-      const obs::LoadedProcTrace lt =
-          obs::load_proc_trace(entry.path().string());
-      if (lt.proc >= 0 && lt.proc < trace->num_procs()) {
-        obs::merge_proc_trace(trace, lt);
-      }
-    } catch (const Error& e) {
-      RAPID_WARN("shm trace merge: skipping " << name << ": " << e.what());
-    }
-  }
-}
-
 RunReport Impl::run_shm() {
   RunReport report = begin_run();
-  // Workers dump their rings into a fresh per-run directory, removed after
-  // the merge, so no earlier run's dumps can leak into this trace.
-  std::string trace_dir;
-  if (tracing) {
-    trace_dir = (std::filesystem::temp_directory_path() /
-                 cat("rapid-trace-", ::getpid(), "-", now_ns() & 0xffffff))
-                    .string();
-  }
-  try {
-    session = ShmSession::create(ShmTransport::dims_for(plan, config),
-                                 options.lease_timeout_seconds);
-    attach_transport(session->transport());
-    // Coordinator-side MAP engines for every rank: the offsets are
-    // deterministic, so read_object and the baseline prefill agree with
-    // the engines the workers build for themselves. No free hooks — the
-    // coordinator never plays a protocol role.
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      setup_proc_state(q, /*install_free_hook=*/false);
-    }
-  } catch (const NonExecutableError& e) {
+  session = ShmSession::create(ShmTransport::dims_for(plan, config),
+                               options.lease_timeout_seconds);
+  // Every rank is set up here, once: each worker inherits it at the fork,
+  // and read_object reads the owner heaps through the same engines.
+  if (!prepare_ranks(session->transport(), report)) {
     session.reset();
-    return report_nonexecutable(std::move(report), e);
+    return report;
   }
-  setup_epochs_and_baseline();
-  if (tracing) std::filesystem::create_directories(trace_dir);
 
   Stopwatch wall;
-  session->spawn_fork(
-      [this, &trace_dir](ProcId q) { return run_forked_worker(q, trace_dir); });
+  session->spawn_fork([this](ProcId q) { return run_forked_worker(q); });
   since_spawn.reset();
   monitor();
 
@@ -188,11 +136,8 @@ RunReport Impl::run_shm() {
     if (st.worker_done(q)) report.add_counters(q, st.worker_counters(q));
   }
   if (tracing) {
-    merge_worker_traces(trace_dir);
     report.metrics = std::make_shared<obs::MetricsSummary>(
         obs::derive_metrics(*trace));
-    std::error_code ec;
-    std::filesystem::remove_all(trace_dir, ec);
   }
 
   if (!clean && !proc_failure && !tp->any_failure()) {
@@ -220,71 +165,27 @@ RunReport Impl::run_shm() {
   return finish_run(std::move(report));
 }
 
-/// One rank's run inside a forked worker process: a fresh Impl over the
-/// inherited plan, task bodies, config and options (this process traces
-/// only its own rank), the unchanged protocol loop on the calling thread,
-/// then the counters published and the trace ring dumped for the
-/// coordinator to merge.
-int Impl::run_forked_worker(ProcId q, const std::string& trace_dir) {
-  ShmTransport& transport = *tp;
-  // A lambda so the catch below can turn *anything* escaping the worker
-  // loop into a structured failure in the segment, never a silent nonzero
-  // exit.
-  auto inner = [&]() -> int {
-    ThreadedOptions worker_options = options;
-    obs::TraceConfig tc;
-    tc.enabled = tracing;
-    if (tracing) {
-      tc.events_per_proc = static_cast<std::int32_t>(trace->capacity());
-    }
-    tc.sole_proc = q;  // this process records only its own rank
-    obs::Trace local_trace(plan.num_procs, tc);
-    worker_options.trace = tracing ? &local_trace : nullptr;
-
-    Impl impl(plan, config, init, body, worker_options, nullptr);
-    impl.reset_run_state();
-    impl.attach_transport(transport);
-    set_log_thread_proc(q);
-    try {
-      // MAP engines for every rank (offsets feed the baseline prefill and
-      // the owner tables); the free hook only for the rank whose window
-      // this process owns.
-      for (ProcId r = 0; r < plan.num_procs; ++r) {
-        impl.setup_proc_state(r, /*install_free_hook=*/r == q);
-      }
-    } catch (const std::exception& e) {
-      impl.fail(q, e.what(), FailureKind::kNonExecutable);
-      return kShmWorkerFailed;
-    }
-    impl.setup_epochs_and_baseline();
-    if (impl.tracing) impl.record_heap_baseline(q);
-    transport.beat(q, static_cast<std::uint8_t>(ProcState::kStart), 0);
-
-    impl.worker(q);  // the full REC/EXE/SND/MAP/END loop, on this thread
-
+/// One rank's run inside a forked worker process: the unchanged protocol
+/// loop on the calling thread, over the Impl the coordinator prepared
+/// before forking (every rank's state, the epochs, the trace baselines),
+/// then the exit code and the counters published for the coordinator.
+int Impl::run_forked_worker(ProcId q) {
+  // Anything escaping the worker loop becomes a structured failure in the
+  // segment, never a silent nonzero exit.
+  try {
+    tp->beat(q, static_cast<std::uint8_t>(ProcState::kStart), 0);
+    worker(q);  // the full REC/EXE/SND/MAP/END loop, on this thread
     int rc = kShmWorkerClean;
-    if (transport.rank_failed(q)) {
+    if (tp->rank_failed(q)) {
       rc = kShmWorkerFailed;
-    } else if (transport.aborted() &&
-               transport.quiescent_count() < plan.num_procs) {
+    } else if (tp->aborted() && tp->quiescent_count() < plan.num_procs) {
       rc = kShmWorkerAborted;
     }
-    transport.publish_worker_done(q, impl.finished_counters(q));
-    if (impl.tracing) {
-      const std::string path =
-          cat(trace_dir, "/p", q, ".pid", ::getpid(), ".trace.bin");
-      if (!obs::save_proc_trace(local_trace, q, path)) {
-        RAPID_WARN("shm worker p" << q << ": failed to dump trace to "
-                                  << path);
-      }
-    }
+    tp->publish_worker_done(q, finished_counters(q));
     return rc;
-  };
-  try {
-    return inner();
   } catch (const std::exception& e) {
-    transport.fail_stop(q, FailureKind::kTaskError,
-                        cat("shm worker p", q, ": ", e.what()));
+    tp->fail_stop(q, FailureKind::kTaskError,
+                  cat("shm worker p", q, ": ", e.what()));
     return kShmWorkerFailed;
   }
 }

@@ -26,7 +26,7 @@ class Simulator {
         config_(config),
         params_(config.params),
         trace_(trace),
-        tracing_(trace != nullptr && trace->enabled()) {
+        tracing_(trace != nullptr) {
     const auto p = static_cast<std::size_t>(plan.num_procs);
     procs_.resize(p);
     epoch_remaining_.resize(static_cast<std::size_t>(plan.graph->num_data()));
@@ -465,7 +465,7 @@ class Simulator {
 RunReport simulate(const RunPlan& plan, const RunConfig& config,
                    obs::Trace* trace) {
   try {
-    if (trace != nullptr && trace->enabled()) {
+    if (trace != nullptr) {
       RAPID_CHECK(trace->num_procs() >= plan.num_procs,
                   "the Trace is sized for fewer processors than the plan");
     }

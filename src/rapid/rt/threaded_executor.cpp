@@ -31,7 +31,7 @@ Impl::Impl(const RunPlan& plan_, const RunConfig& config_, ObjectInit init_,
                  options.run_attempt <= options.faults.induced_fault_runs),
       recovery_on(options.retry.enabled()),
       trace(options.trace),
-      tracing(options.trace != nullptr && options.trace->enabled()),
+      tracing(options.trace != nullptr),
       effective_park_us(faults_on && options.faults.force_park_timeout
                             ? options.faults.forced_park_timeout_us
                             : kParkTimeoutUs),
@@ -425,8 +425,7 @@ const CounterBlock& Impl::finished_counters(ProcId q) {
 
 // ---- run orchestration -------------------------------------------------------
 
-/// Per-run state reset plus the plan-derived index tables; shared by both
-/// backends and by the forked shm workers.
+/// Per-run state reset plus the plan-derived index tables.
 void Impl::reset_run_state() {
   completed = false;
   priv.clear();
@@ -453,45 +452,41 @@ void Impl::attach_transport(ShmTransport& transport) {
   }
 }
 
-/// Rank q's plan-derived private state: the MAP engine (whose offsets are
-/// deterministic, so every process derives the same addresses) and the
-/// owner/reader tables. The free hook pokes rank q's window, so it is
-/// installed only where this process plays q's protocol role. Requires
-/// `win` to be populated. Throws NonExecutableError on capacity failure.
-void Impl::setup_proc_state(ProcId q, bool install_free_hook) {
+/// Rank q's plan-derived private state: the MAP engine and the
+/// owner/reader tables. A forked shm rank inherits it, so the coordinator's
+/// offsets are the worker's. Requires `win` to be populated. Throws
+/// NonExecutableError on capacity failure.
+void Impl::setup_proc_state(ProcId q) {
   Private& pr = priv[q];
   pr.memory = std::make_unique<ProcMemory>(
       plan, q, config.capacity_per_proc, /*alignment=*/8,
       config.alloc_policy, config.slab_arena);
-  if (install_free_hook) {
-    // Poison-fill freed volatile regions so a read through a stale
-    // address (use-after-free across MAP reuse) yields garbage that the
-    // numeric checks catch, not stale-but-plausible content — and reset
-    // the freed object's verification state so a recycled region is
-    // never trusted on the strength of a previous lifetime's checksum.
-    // The hook fires between a MAP's frees and its reallocations, and
-    // the protocol guarantees no put is in flight to a dead region (see
-    // docs/RUNTIME.md), so neither the memset nor the reset can race a
-    // sender. impl.priv is sized once before the workers start, so the
-    // captured pointers stay valid.
-    std::byte* heap = win[static_cast<std::size_t>(q)].heap;
-    Private* mine = &pr;
-    Impl* self = this;
-    pr.memory->set_free_hook(
-        [heap, mine, self, q](DataId d, mem::Offset off, std::int64_t size) {
-          if (kPoisonFreed && size > 0) {
-            std::memset(heap + off, 0xA5, static_cast<std::size_t>(size));
-          }
-          mine->verified_seq[d] = 0;
-          mine->rejected_seq[d] = 0;
-          // The hook fires on the owning worker's thread inside its
-          // MAP, so recording here obeys the single-writer ring rule.
-          if (self->tracing) {
-            self->trace->record(q, obs::EventKind::kMapFree, d, 0, 0,
-                                size);
-          }
-        });
-  }
+  // Poison-fill freed volatile regions so a read through a stale address
+  // (use-after-free across MAP reuse) yields garbage that the numeric
+  // checks catch, not stale-but-plausible content — and reset the freed
+  // object's verification state so a recycled region is never trusted on
+  // the strength of a previous lifetime's checksum. The hook fires between
+  // a MAP's frees and its reallocations, and the protocol guarantees no put
+  // is in flight to a dead region (see docs/RUNTIME.md), so neither the
+  // memset nor the reset can race a sender. Only rank q runs q's MAPs (the
+  // coordinator of an shm run runs none). priv is sized once before the
+  // ranks start, so the captured pointers stay valid.
+  std::byte* heap = win[static_cast<std::size_t>(q)].heap;
+  Private* mine = &pr;
+  Impl* self = this;
+  pr.memory->set_free_hook(
+      [heap, mine, self, q](DataId d, mem::Offset off, std::int64_t size) {
+        if (kPoisonFreed && size > 0) {
+          std::memset(heap + off, 0xA5, static_cast<std::size_t>(size));
+        }
+        mine->verified_seq[d] = 0;
+        mine->rejected_seq[d] = 0;
+        // The hook fires on the owning rank inside its MAP, so recording
+        // here obeys the single-writer ring rule.
+        if (self->tracing) {
+          self->trace->record(q, obs::EventKind::kMapFree, d, 0, 0, size);
+        }
+      });
   if (!config.active_memory) pr.memory->preallocate_all();
   pr.current_version.assign(
       static_cast<std::size_t>(plan.graph->num_data()), 0);
@@ -543,8 +538,8 @@ void Impl::setup_epochs_and_baseline() {
 }
 
 /// Baseline heap samples (permanents, plus preallocated volatiles in
-/// baseline mode), recorded before rank q's worker starts so the
-/// single-writer ring rule holds via the crew hand-off edge.
+/// baseline mode), recorded before rank q starts so the single-writer ring
+/// rule holds via the crew hand-off edge or the fork.
 void Impl::record_heap_baseline(ProcId q) {
   trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
                 priv[q].memory->in_use_bytes());
@@ -575,15 +570,28 @@ RunReport Impl::begin_run() {
   return report;
 }
 
-/// A capacity failure found during setup: reported, never thrown.
-RunReport Impl::report_nonexecutable(RunReport report,
-                                     const std::exception& e) {
-  report.executable = false;
-  report.failure = e.what();
-  report.failure_kind = FailureKind::kNonExecutable;
-  report.errors.push_back(e.what());
-  last_report = report;
-  return report;
+/// The setup both backends run after begin_run and before launching their
+/// ranks: attach `transport`, set up every rank's private state, the epoch
+/// counters and the baseline prefill, and (tracing) the heap baselines. A
+/// capacity failure found here is reported, never thrown: it returns false
+/// with `report` saying so.
+bool Impl::prepare_ranks(ShmTransport& transport, RunReport& report) {
+  attach_transport(transport);
+  try {
+    for (ProcId q = 0; q < plan.num_procs; ++q) setup_proc_state(q);
+  } catch (const NonExecutableError& e) {
+    report.executable = false;
+    report.failure = e.what();
+    report.failure_kind = FailureKind::kNonExecutable;
+    report.errors.push_back(e.what());
+    last_report = report;
+    return false;
+  }
+  setup_epochs_and_baseline();
+  if (tracing) {
+    for (ProcId q = 0; q < plan.num_procs; ++q) record_heap_baseline(q);
+  }
+  return true;
 }
 
 /// Run tail shared by both backends: a recorded failure becomes the
@@ -626,18 +634,9 @@ RunReport Impl::finish_run(RunReport report) {
 
 RunReport Impl::run_inproc() {
   RunReport report = begin_run();
-  try {
-    attach_transport(
-        ctx.transport_for(ShmTransport::dims_for(plan, config)));
-    for (ProcId q = 0; q < plan.num_procs; ++q) {
-      setup_proc_state(q, /*install_free_hook=*/true);
-    }
-  } catch (const NonExecutableError& e) {
-    return report_nonexecutable(std::move(report), e);
-  }
-  setup_epochs_and_baseline();
-  if (tracing) {
-    for (ProcId q = 0; q < plan.num_procs; ++q) record_heap_baseline(q);
+  if (!prepare_ranks(ctx.transport_for(ShmTransport::dims_for(plan, config)),
+                     report)) {
+    return report;
   }
 
   Stopwatch wall;

@@ -98,17 +98,18 @@ struct ThreadedOptions {
   /// set, each worker appends protocol events to its own ring in the Trace
   /// (single-writer, lock-free), and run() attaches the derived
   /// MetricsSummary to the RunReport. The Trace must outlive run() and be
-  /// sized for at least plan.num_procs processors. On the shm transport
-  /// each worker process traces into a private ring of this Trace's
-  /// capacity, dumps it at clean exit, and the coordinator merges the
-  /// per-rank files (from a throwaway per-run directory) into this Trace.
+  /// sized for at least plan.num_procs processors. Its rings live in a
+  /// shared mapping, so on the shm transport each forked worker process
+  /// appends to its own rank's ring of this very Trace, on the caller's
+  /// clock epoch; a killed rank keeps every record it finished.
   obs::Trace* trace = nullptr;
 
   /// Which one-sided transport carries the data plane. kInProc (default)
   /// is the thread-per-processor executor; kShm forks each paper-processor
   /// as an OS process over a shared anonymous mapping (docs/TRANSPORT.md).
-  /// The forked workers inherit the plan, the task bodies and these
-  /// options.
+  /// Each forked worker runs the executor state the coordinator prepared
+  /// before forking: the plan, the task bodies, these options and every
+  /// rank's MAP engine.
   TransportKind transport = TransportKind::kInProc;
   /// Heartbeat lease (shm only): a worker whose lease goes stale for this
   /// long while not inside a task body — or while stopped by a signal,

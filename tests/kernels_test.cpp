@@ -431,7 +431,9 @@ TEST(KernelDispatch, GetrfPanelResidualTinyAtBothLevels) {
     double worst = 0.0;
     for (std::int64_t j = 0; j < w; ++j) {
       for (std::int64_t i = 0; i < m; ++i) {
-        if (i > j) ASSERT_LE(std::abs(a[j * ld + i]), 1.0 + 1e-12);
+        if (i > j) {
+          ASSERT_LE(std::abs(a[j * ld + i]), 1.0 + 1e-12);
+        }
         double dot = 0.0;
         const std::int64_t kmax = std::min<std::int64_t>(i, j);
         for (std::int64_t k = 0; k <= kmax; ++k) {

@@ -60,17 +60,6 @@ TEST(Trace, RingWrapsKeepingNewestEvents) {
   EXPECT_EQ(events.back().t_ns, 99);
 }
 
-TEST(Trace, DisabledTraceRecordsNothing) {
-  TraceConfig config;
-  config.enabled = false;
-  Trace trace(4, config);
-  EXPECT_FALSE(trace.enabled());
-  trace.record(0, EventKind::kTaskBegin, 1);
-  trace.record_at(3, 99, EventKind::kPut, 1, 2, 3, 64);
-  EXPECT_EQ(trace.total_events(), 0);
-  for (int q = 0; q < 4; ++q) EXPECT_TRUE(trace.events(q).empty());
-}
-
 TEST(Trace, StampsMonotonicallyWithinAProcessor) {
   Trace trace(1);
   for (int i = 0; i < 200; ++i) trace.record(0, EventKind::kHeapSample);
@@ -192,10 +181,10 @@ TEST(ObsThreaded, OccupancyHighWaterMatchesMapEngineExactly) {
   EXPECT_EQ(csv.rfind("proc,t_ns,bytes\n", 0), 0u);
 }
 
-/// A null trace pointer and a disabled tracer must behave identically: no
-/// events, and the protocol does exactly the same work (deterministic
-/// counters only — suspended_sends depends on thread timing).
-TEST(ObsThreaded, DisabledTracerChangesNothing) {
+/// Tracing observes the protocol without changing it: a traced run does
+/// exactly the work of an untraced one (deterministic counters only —
+/// suspended_sends depends on thread timing), and only it carries metrics.
+TEST(ObsThreaded, TracedRunKeepsTheUntracedCounters) {
   const int procs = 4;
   CounterApp app(procs);
   const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
@@ -204,23 +193,25 @@ TEST(ObsThreaded, DisabledTracerChangesNothing) {
                              app.make_init(), app.make_body());
   const rt::RunReport base = plain.run();
   ASSERT_TRUE(base.executable);
+  EXPECT_FALSE(base.metrics);  // no metrics block without a tracer
 
-  TraceConfig config;
-  config.enabled = false;
-  Trace trace(procs, config);
+  Trace trace(procs);
   rt::ThreadedOptions options;
   options.trace = &trace;
-  rt::ThreadedExecutor off(app.plan, app.config(liveness.min_mem()),
-                           app.make_init(), app.make_body(), options);
-  const rt::RunReport report = off.run();
+  rt::ThreadedExecutor traced(app.plan, app.config(liveness.min_mem()),
+                              app.make_init(), app.make_body(), options);
+  const rt::RunReport report = traced.run();
   ASSERT_TRUE(report.executable);
 
-  EXPECT_EQ(trace.total_events(), 0);
+  EXPECT_GT(trace.total_events(), 0);
+  EXPECT_TRUE(report.metrics);
   EXPECT_EQ(report.tasks_executed, base.tasks_executed);
   EXPECT_EQ(report.content_messages, base.content_messages);
+  EXPECT_EQ(report.content_bytes, base.content_bytes);
   EXPECT_EQ(report.flag_messages, base.flag_messages);
   EXPECT_EQ(report.addr_packages, base.addr_packages);
-  EXPECT_FALSE(report.metrics);  // no metrics block without live tracing
+  EXPECT_EQ(report.maps_per_proc, base.maps_per_proc);
+  EXPECT_EQ(report.peak_bytes_per_proc, base.peak_bytes_per_proc);
 }
 
 TEST(ObsThreaded, MetricsSummaryReconcilesWithRun) {

@@ -263,8 +263,8 @@ TEST(ShmTransportRun, SigkilledCoordinatorLeavesNoSegment) {
 // ---- trace capacity --------------------------------------------------------
 
 // Worker rings take the coordinator Trace's capacity: a run recording more
-// than 65,536 events on a rank keeps them all, and the merged trace reports
-// no loss.
+// than 65,536 events on a rank keeps them all, and the trace reports no
+// loss.
 TEST(ShmTrace, WorkerRingsTakeTheCoordinatorCapacity) {
   RAPID_SKIP_UNDER_TSAN();
   constexpr int kProcs = 4;
@@ -287,9 +287,9 @@ TEST(ShmTrace, WorkerRingsTakeTheCoordinatorCapacity) {
   EXPECT_EQ(trace.total_dropped(), 0);
 }
 
-// A worker ring that overflows reports its loss through the dump: the
-// merged trace counts it in dropped(), and what survived is exactly what
-// was recorded minus what was dropped.
+// A worker ring that overflows reports its loss: the trace counts it in
+// dropped(), and what survived is exactly what was recorded minus what was
+// dropped.
 TEST(ShmTrace, WorkerRingOverflowCountsAsDropped) {
   RAPID_SKIP_UNDER_TSAN();
   constexpr int kProcs = 4;
@@ -312,6 +312,35 @@ TEST(ShmTrace, WorkerRingOverflowCountsAsDropped) {
     EXPECT_EQ(trace.recorded(q) - trace.dropped(q),
               static_cast<std::int64_t>(trace.events(q).size()))
         << "p" << q;
+  }
+}
+
+// A rank SIGKILLed mid-run keeps every record it finished: its ring is
+// the coordinator's, so nothing waits on a clean-exit dump. Each record
+// the coordinator reads is whole.
+TEST(ShmTrace, KilledRankKeepsItsRecords) {
+  RAPID_SKIP_UNDER_TSAN();
+  constexpr int kProcs = 4;
+  CounterApp app(kProcs);
+  const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
+  obs::Trace trace(kProcs);
+  ThreadedOptions options = shm_options();
+  options.trace = &trace;
+  options.faults =
+      FaultPlan::kill_proc_at(/*proc=*/1, FaultPlan::kKillExe, /*nth=*/1);
+  ThreadedExecutor exec(app.plan, app.config(liveness.min_mem()),
+                        app.make_init(), app.make_body(), options);
+  EXPECT_THROW(exec.run(), ProcFailureError);
+
+  ASSERT_GT(trace.recorded(1), 0);
+  // The kill site sits right after the rank records its EXE entry.
+  const std::vector<obs::TraceEvent> killed = trace.events(1);
+  EXPECT_EQ(killed.back().kind, obs::EventKind::kStateEnter);
+  EXPECT_EQ(killed.back().a, static_cast<std::int32_t>(obs::ProtoState::kExe));
+  for (int q = 0; q < kProcs; ++q) {
+    for (const obs::TraceEvent& e : trace.events(q)) {
+      ASSERT_LT(e.kind, obs::EventKind::kCount) << "p" << q;
+    }
   }
 }
 
