@@ -58,7 +58,7 @@ void Impl::transmit_batch(ProcId q, ProcId dest,
     const mem::Offset dst_off = addr_slot(me, s.object, dest);
     RAPID_CHECK(dst_off != mem::kNullOffset, "transmit without address");
     const std::int64_t size = plan.graph->data(s.object).size_bytes;
-    const mem::Offset src_off = me.memory->offset_of(s.object);
+    const mem::Offset src_off = offset_of(q, s.object);
     const std::uint32_t attempt = ++me.sent_seq[slot_index(s.object, dest)];
     if (tracing) {
       trace->record(q, obs::EventKind::kPut, s.object, s.version, dest,
@@ -176,7 +176,7 @@ void Impl::send_nack(ProcId q, const GateRef& gate) {
     owner = plan.graph->data(gate.object).owner;
     n.object = gate.object;
     n.version = gate.version;
-    n.reader_offset = me.memory->offset_of(gate.object);
+    n.reader_offset = offset_of(q, gate.object);
     n.observed_seq = std::max(me.verified_seq[gate.object],
                               me.rejected_seq[gate.object]);
   } else {

@@ -38,6 +38,7 @@
 #include "rapid/rt/transport.hpp"
 #include "rapid/support/backoff.hpp"
 #include "rapid/support/stopwatch.hpp"
+#include "rapid/support/str.hpp"
 
 namespace rapid::rt {
 
@@ -131,7 +132,12 @@ struct ThreadedExecutor::Impl {
   /// Per-processor private state, touched only by its own thread. Aligned
   /// so two ranks' counters never share a cache line.
   struct alignas(64) Private {
-    std::unique_ptr<ProcMemory> memory;
+    /// This rank's memory plan and the next of its MAP steps to apply.
+    const ProcMemoryPlan* mem = nullptr;
+    std::size_t next_step = 0;
+    /// Offset of each live object in this rank's heap, indexed by DataId;
+    /// kNullOffset = not live here. Applying a MAP step updates it.
+    std::vector<mem::Offset> offsets;
     std::int32_t pos = 0;
     /// This rank's run counters. Worker-private like everything else
     /// here: read only after the worker joined (in-proc) or by the worker
@@ -168,8 +174,8 @@ struct ThreadedExecutor::Impl {
     /// recomputation on the seq makes verification race-free against
     /// resends: bytes are only read at a seq the owner has fully published,
     /// and never re-read at a seq already rejected (the owner's next
-    /// retransmit bumps the seq past it). Reset by the MAP free hook when
-    /// the object's region is recycled.
+    /// retransmit bumps the seq past it). Reset when a MAP frees the
+    /// object's region.
     std::vector<std::uint32_t> verified_seq;
     std::vector<std::uint32_t> rejected_seq;
     /// A fresh checksum rejection fast-tracks exactly one re-request.
@@ -195,6 +201,9 @@ struct ThreadedExecutor::Impl {
   };
 
   std::vector<Private> priv;
+  /// The run's memory plan (memory_plan(), memoized on the RunPlan); every
+  /// rank's Private::mem points into it.
+  std::shared_ptr<const MemoryPlan> memory;
   std::vector<std::size_t> epoch_base;  // per object, into epoch_remaining
   /// Dense index of each object among its owner's permanents (for the
   /// known_addrs tables); -1 until built.
@@ -283,6 +292,15 @@ struct ThreadedExecutor::Impl {
     }
   }
 
+  /// Offset of object d in rank q's heap; d must be live there.
+  mem::Offset offset_of(ProcId q, DataId d) const {
+    const mem::Offset off = priv[q].offsets[d];
+    RAPID_CHECK(off != mem::kNullOffset,
+                cat("object ", plan.graph->data(d).name,
+                    " is not live on processor ", q));
+    return off;
+  }
+
   std::size_t slot_index(DataId d, ProcId reader) const {
     return static_cast<std::size_t>(owned_index[d]) *
                static_cast<std::size_t>(plan.num_procs) +
@@ -332,6 +350,7 @@ struct ThreadedExecutor::Impl {
   inline void maybe_kill(ProcId q, std::int32_t phase);
   void complete_task(ProcId q, TaskId t);
   inline void execute_task(ProcId q, TaskId t, Resolver& resolver);
+  bool apply_map_step(ProcId q);
   void worker(ProcId q);
   const CounterBlock& finished_counters(ProcId q);
   void reset_run_state();

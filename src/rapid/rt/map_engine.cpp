@@ -85,13 +85,9 @@ MapResult ProcMemory::perform_map(std::int32_t pos) {
   for (auto it = allocated_by_last_pos_.begin();
        it != allocated_by_last_pos_.end() && it->first < pos;) {
     const DataId d = it->second;
-    const mem::Offset off = offsets_.at(d);
-    arena_.deallocate(off);
+    arena_.deallocate(offsets_.at(d));
     offsets_.erase(d);
     vol_state_[vol_index_.at(d)] = VolState::kFreed;
-    // Hook runs with the object fully dead (deallocated + unmapped) and
-    // strictly before the allocation phase below can reuse the region.
-    if (free_hook_) free_hook_(d, off, plan_.graph->data(d).size_bytes);
     result.freed.push_back(d);
     it = allocated_by_last_pos_.erase(it);
   }
@@ -186,6 +182,93 @@ mem::Offset ProcMemory::offset_of(DataId d) const {
 
 bool ProcMemory::is_allocated(DataId d) const {
   return offsets_.count(d) != 0;
+}
+
+namespace {
+
+/// Whether `mp` was built for `config`'s capacity, mode and allocator.
+bool built_for(const MemoryPlan& mp, const RunConfig& config) {
+  return mp.capacity_per_proc == config.capacity_per_proc &&
+         mp.active_memory == config.active_memory &&
+         mp.alloc_policy == config.alloc_policy &&
+         mp.slab_arena == config.slab_arena;
+}
+
+/// Replays processor p's MAPs on a ProcMemory at the executor's alignment
+/// and records them. Throws NonExecutableError like the replay does.
+ProcMemoryPlan replay_proc(const RunPlan& plan, ProcId p,
+                           const RunConfig& config) {
+  ProcMemory memory(plan, p, config.capacity_per_proc, /*alignment=*/8,
+                    config.alloc_policy, config.slab_arena);
+  const ProcPlan& pp = plan.procs[p];
+  ProcMemoryPlan out;
+  auto place = [&](std::vector<std::pair<DataId, mem::Offset>>& into,
+                   DataId d) {
+    const mem::Offset off = memory.offset_of(d);
+    into.emplace_back(d, off);
+    out.extent_bytes = std::max(
+        out.extent_bytes, off + memory.arena().allocation_size(off));
+  };
+  for (DataId d : pp.permanents) place(out.initial, d);
+  if (!config.active_memory) {
+    memory.preallocate_all();
+    for (const sched::VolatileLifetime& v : pp.volatiles) {
+      place(out.initial, v.object);
+    }
+  }
+  out.initial_in_use = memory.in_use_bytes();
+  out.initial_peak = memory.peak_bytes();
+  const auto n = static_cast<std::int32_t>(pp.order.size());
+  for (std::int32_t pos = 0; pos < n; ++pos) {
+    if (!memory.needs_map(pos)) continue;
+    MapResult map = memory.perform_map(pos);
+    MapStep step;
+    step.pos = pos;
+    step.alloc_upto = map.alloc_upto;
+    step.freed = std::move(map.freed);
+    step.placed.reserve(map.allocated.size());
+    for (DataId d : map.allocated) place(step.placed, d);
+    step.packages = std::move(map.packages);
+    step.in_use = memory.in_use_bytes();
+    step.peak = memory.peak_bytes();
+    out.steps.push_back(std::move(step));
+  }
+  out.peak_bytes = memory.peak_bytes();
+  return out;
+}
+
+std::shared_ptr<const MemoryPlan> build_memory_plan(const RunPlan& plan,
+                                                    const RunConfig& config) {
+  auto mp = std::make_shared<MemoryPlan>();
+  mp->capacity_per_proc = config.capacity_per_proc;
+  mp->active_memory = config.active_memory;
+  mp->alloc_policy = config.alloc_policy;
+  mp->slab_arena = config.slab_arena;
+  mp->procs.reserve(static_cast<std::size_t>(plan.num_procs));
+  try {
+    for (ProcId p = 0; p < plan.num_procs; ++p) {
+      mp->procs.push_back(replay_proc(plan, p, config));
+    }
+  } catch (const NonExecutableError& e) {
+    mp->executable = false;
+    mp->failure = e.what();  // already names the processor/position
+    mp->procs.clear();
+  }
+  return mp;
+}
+
+}  // namespace
+
+std::shared_ptr<const MemoryPlan> memory_plan(const RunPlan& plan,
+                                              const RunConfig& config) {
+  // Built under the lock: concurrent first callers wait for one build
+  // instead of racing to replay the same MAPs twice.
+  MemoryPlanSlot& slot = plan.memory_memo;
+  std::lock_guard<std::mutex> lock(slot.m);
+  if (!slot.plan || !built_for(*slot.plan, config)) {
+    slot.plan = build_memory_plan(plan, config);
+  }
+  return slot.plan;
 }
 
 }  // namespace rapid::rt

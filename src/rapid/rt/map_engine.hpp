@@ -1,16 +1,25 @@
 // Per-processor memory state plus the Memory Allocation Point procedure
-// (paper §3.3), shared verbatim by the simulator and the threaded executor:
+// (paper §3.3):
 //   1. free volatile objects that are dead at the current position,
 //   2. allocate volatile space forward along the execution chain, stopping
 //      before the first task whose objects no longer fit (that position is
 //      the next MAP),
 //   3. assemble address packages for the owners of the newly allocated
 //      volatiles.
+//
+// A MAP's outcome is fixed by the plan, the capacity and the allocator, so
+// it is computed once: memory_plan() replays ProcMemory at the threaded
+// executor's 8-byte alignment and records every step as a MemoryPlan,
+// memoized on the RunPlan. Admission (svc::compute_demand) summarizes that
+// plan and the executor's ranks apply its steps. The simulator, the
+// auditor and the CONF-CAP conformance replay drive ProcMemory directly,
+// as independent replays.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -53,9 +62,9 @@ class ProcMemory {
   /// Allocates all permanent objects up front; throws NonExecutableError if
   /// they alone exceed the capacity. `alignment` is 1 by default so that
   /// capacity semantics match Def. 5 byte-for-byte (the simulator's mode);
-  /// the threaded executor passes 8 because its buffers hold doubles — all
-  /// of its objects have sizes that are multiples of 8, so accounting is
-  /// unchanged.
+  /// memory_plan() passes 8 because the threaded executor's buffers hold
+  /// doubles — all of its objects have sizes that are multiples of 8, so
+  /// accounting is unchanged.
   ///
   /// `slab_arena` enables the arena's size-class slab fast path, with the
   /// classes derived deterministically from this processor's planned
@@ -92,18 +101,6 @@ class ProcMemory {
   mem::Offset offset_of(DataId d) const;
   bool is_allocated(DataId d) const;
 
-  /// Called for every volatile freed by a MAP, with its (offset, size)
-  /// region — after the deallocation and strictly before any reallocation
-  /// in the same MAP. The threaded executor uses it to poison freed heap
-  /// regions in debug builds so use-after-free across MAP reuse reads as
-  /// garbage instead of stale-but-plausible content, and to reset the
-  /// object's reader-side verification state so a recycled region is never
-  /// trusted on the strength of a previous lifetime's checksum (the
-  /// resend-safety contract: a region freed here has no put in flight to
-  /// it, so clearing per-object state here is race-free).
-  using FreeHook = std::function<void(DataId, mem::Offset, std::int64_t)>;
-  void set_free_hook(FreeHook hook) { free_hook_ = std::move(hook); }
-
   std::int64_t peak_bytes() const { return arena_.stats().peak_in_use; }
   /// Bytes currently allocated (permanents + live volatiles). The tracer
   /// samples this after each MAP for the occupancy timeline.
@@ -122,7 +119,65 @@ class ProcMemory {
   std::vector<VolState> vol_state_;   // parallel to plan volatiles
   std::multimap<std::int32_t, DataId> allocated_by_last_pos_;
   std::int32_t alloc_upto_ = 0;
-  FreeHook free_hook_;
 };
+
+/// One MAP as recorded by the ProcMemory replay: everything the executor
+/// needs to apply it without an allocator.
+struct MapStep {
+  /// Schedule position the MAP runs at, and the allocated prefix after it.
+  std::int32_t pos = 0;
+  std::int32_t alloc_upto = 0;
+  /// Volatiles freed, in free order.
+  std::vector<DataId> freed;
+  /// Volatiles placed, in allocation order, with their arena offsets.
+  std::vector<std::pair<DataId, mem::Offset>> placed;
+  /// Address packages by owner, unstamped (the sender stamps at send time).
+  std::vector<std::pair<ProcId, AddrPackage>> packages;
+  /// Arena bytes in use after the step, and the arena's peak so far
+  /// (allocations rolled back inside the MAP count towards it).
+  std::int64_t in_use = 0;
+  std::int64_t peak = 0;
+};
+
+/// One processor's memory plan.
+struct ProcMemoryPlan {
+  /// Placements made before the first task: the permanents, then in
+  /// baseline mode every volatile.
+  std::vector<std::pair<DataId, mem::Offset>> initial;
+  /// Arena in-use and peak bytes after the initial placements.
+  std::int64_t initial_in_use = 0;
+  std::int64_t initial_peak = 0;
+  /// The MAPs in execution order (none in baseline mode).
+  std::vector<MapStep> steps;
+  /// Peak arena bytes over the whole run.
+  std::int64_t peak_bytes = 0;
+  /// Largest offset + rounded size ever placed: the heap bytes the run
+  /// touches. At least peak_bytes; larger when fragmentation spreads the
+  /// live set.
+  std::int64_t extent_bytes = 0;
+};
+
+/// Every processor's memory plan under one RunConfig's capacity, memory
+/// mode and allocator, at the threaded executor's 8-byte alignment.
+struct MemoryPlan {
+  std::int64_t capacity_per_proc = 0;
+  bool active_memory = true;
+  mem::AllocPolicy alloc_policy = mem::AllocPolicy::kFirstFit;
+  bool slab_arena = false;
+  /// False when the plan is non-executable under the capacity (Def. 6):
+  /// `failure` is the NonExecutableError text of the first failing
+  /// processor, and `procs` is empty.
+  bool executable = true;
+  std::string failure;
+  std::vector<ProcMemoryPlan> procs;
+};
+
+/// The memory plan of `plan` under `config`, built on first use and kept in
+/// plan.memory_memo until a call with a different capacity, mode or
+/// allocator replaces it. Thread-safe: concurrent callers with one config
+/// get one plan object. Never throws on capacity failure (see
+/// MemoryPlan::executable).
+std::shared_ptr<const MemoryPlan> memory_plan(const RunPlan& plan,
+                                              const RunConfig& config);
 
 }  // namespace rapid::rt

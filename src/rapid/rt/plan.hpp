@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "rapid/sched/liveness.hpp"
@@ -75,6 +77,25 @@ struct ProcPlan {
   std::vector<ContentSend> initial_sends;
 };
 
+struct MemoryPlan;  // rt/map_engine.hpp
+
+/// One-entry memo of memory_plan() (rt/map_engine.hpp), guarded by its own
+/// mutex. A copy or an assignment leaves the slot empty: a memory plan
+/// belongs to the RunPlan object it was computed from, so a plan edited in
+/// place after a memory plan was taken must be copied or rebuilt first.
+struct MemoryPlanSlot {
+  std::mutex m;
+  std::shared_ptr<const MemoryPlan> plan;
+
+  MemoryPlanSlot() = default;
+  MemoryPlanSlot(const MemoryPlanSlot&) {}
+  MemoryPlanSlot& operator=(const MemoryPlanSlot&) {
+    std::lock_guard<std::mutex> lock(m);
+    plan.reset();
+    return *this;
+  }
+};
+
 struct RunPlan {
   const graph::TaskGraph* graph = nullptr;
   sched::Schedule schedule;
@@ -82,6 +103,8 @@ struct RunPlan {
   std::vector<ObjectPlan> objects;
   std::vector<TaskRuntimePlan> tasks;
   std::vector<ProcPlan> procs;
+  /// memory_plan()'s memo: filled on first use, never by the builder.
+  mutable MemoryPlanSlot memory_memo;
 
   /// Version produced by writer task t for object d (t must be a writer of
   /// d). Exposed for the executors' epoch bookkeeping and for tests.

@@ -67,7 +67,7 @@ inline bool Impl::content_trusted(ProcId q, DataId d, GateRef* gate) {
     return false;  // known-bad copy: wait for the resend
   }
   const std::int64_t size = plan.graph->data(d).size_bytes;
-  const mem::Offset off = me.memory->offset_of(d);
+  const mem::Offset off = offset_of(q, d);
   const std::uint32_t expect =
       mine.received_crc[d].load(std::memory_order_relaxed);
   const std::uint32_t actual =
@@ -166,7 +166,7 @@ class Impl::Resolver final : public ObjectResolver {
 
   std::span<const std::byte> read(DataId d) const override {
     const std::int64_t size = impl_.plan.graph->data(d).size_bytes;
-    const mem::Offset off = impl_.priv[proc_].memory->offset_of(d);
+    const mem::Offset off = impl_.offset_of(proc_, d);
     return {impl_.win[static_cast<std::size_t>(proc_)].heap + off,
             static_cast<std::size_t>(size)};
   }
@@ -176,7 +176,7 @@ class Impl::Resolver final : public ObjectResolver {
                 cat("task on processor ", proc_, " writing non-owned ",
                     impl_.plan.graph->data(d).name));
     const std::int64_t size = impl_.plan.graph->data(d).size_bytes;
-    const mem::Offset off = impl_.priv[proc_].memory->offset_of(d);
+    const mem::Offset off = impl_.offset_of(proc_, d);
     return {impl_.win[static_cast<std::size_t>(proc_)].heap + off,
             static_cast<std::size_t>(size)};
   }
@@ -226,11 +226,11 @@ void Impl::complete_task(ProcId q, TaskId t) {
 
 /// EXE with bounded re-execution: a TransientTaskError (injected or
 /// thrown by the body for a genuinely transient condition) is retried up
-/// to RetryPolicy::max_attempts times with the policy's backoff. The
-/// poison-fill free hook guarantees a retried body cannot silently read
+/// to RetryPolicy::max_attempts times with the policy's backoff. The MAP
+/// step's poison fill guarantees a retried body cannot silently read
 /// stale heap through a dangling address — a stale read yields poison,
-/// not plausible content — and the MAP free hook has reset the
-/// verification state of any recycled input region.
+/// not plausible content — and the step has reset the verification state
+/// of any recycled input region.
 inline void Impl::execute_task(ProcId q, TaskId t,
                                Resolver& resolver) {
   std::int32_t attempt = 1;
@@ -264,6 +264,60 @@ inline void Impl::execute_task(ProcId q, TaskId t,
   }
 }
 
+/// MAP state: applies rank q's next memory-plan step, the MAP the plan
+/// recorded for this position. Frees come first: each freed region is
+/// poison-filled (debug builds) so a read through a stale address yields
+/// garbage the numeric checks catch, not stale-but-plausible content, and
+/// its verification state is reset so a recycled region is never trusted
+/// on the strength of a previous lifetime's checksum. The protocol
+/// guarantees no put is in flight to a dead region (see docs/RUNTIME.md),
+/// so neither can race a sender. Then the placements, the heap samples the
+/// occupancy timeline is built from, and the address packages. Returns
+/// false when the run aborted during a package send.
+bool Impl::apply_map_step(ProcId q) {
+  Private& me = priv[q];
+  const MapStep& step = me.mem->steps[me.next_step++];
+  set_state(q, ProcState::kMap);
+  trace_state(q, obs::ProtoState::kMap);
+  if (tracing) trace->record(q, obs::EventKind::kMapBegin, me.pos);
+  if (faults_on) maybe_kill(q, FaultPlan::kKillMap);
+  std::byte* heap = win[static_cast<std::size_t>(q)].heap;
+  for (DataId d : step.freed) {
+    const std::int64_t size = plan.graph->data(d).size_bytes;
+    if (kPoisonFreed && size > 0) {
+      std::memset(heap + offset_of(q, d), 0xA5,
+                  static_cast<std::size_t>(size));
+    }
+    me.offsets[d] = mem::kNullOffset;
+    me.verified_seq[d] = 0;
+    me.rejected_seq[d] = 0;
+    if (tracing) {
+      trace->record(q, obs::EventKind::kMapFree, d, 0, 0, size);
+    }
+  }
+  for (const auto& [d, off] : step.placed) {
+    me.offsets[d] = off;
+    if (tracing) {
+      trace->record(q, obs::EventKind::kMapAlloc, d, 0, 0,
+                    plan.graph->data(d).size_bytes);
+    }
+  }
+  ++me.ctr[kCtrMaps];
+  if (tracing) {
+    // kHeapPeak carries the replay arena's true peak — tentative
+    // allocations it rolled back count, so it can exceed every
+    // kHeapSample.
+    trace->record(q, obs::EventKind::kMapEnd, me.pos);
+    trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0, step.in_use);
+    trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0, step.peak);
+  }
+  for (const auto& [dest, pkg] : step.packages) {
+    if (!send_addr_package_blocking(q, dest, pkg)) return false;
+  }
+  bump_progress();
+  return true;
+}
+
 void Impl::worker(ProcId q) {
   Private& me = priv[q];
   set_log_thread_proc(q);
@@ -289,34 +343,9 @@ void Impl::worker(ProcId q) {
     const auto n = static_cast<std::int32_t>(pp.order.size());
     while (!tp->aborted()) {
       if (me.pos < n) {
-        if (config.active_memory && me.memory->needs_map(me.pos)) {
-          // MAP state.
-          set_state(q, ProcState::kMap);
-          trace_state(q, obs::ProtoState::kMap);
-          if (tracing) trace->record(q, obs::EventKind::kMapBegin, me.pos);
-          if (faults_on) maybe_kill(q, FaultPlan::kKillMap);
-          const MapResult map = me.memory->perform_map(me.pos);
-          ++me.ctr[kCtrMaps];
-          if (tracing) {
-            // kMapFree events came from the free hook inside perform_map;
-            // close the MAP with its allocations and the heap samples the
-            // occupancy timeline is built from. kHeapPeak carries the
-            // arena's true peak — tentative allocations rolled back inside
-            // perform_map count, so it can exceed every kHeapSample.
-            for (DataId d : map.allocated) {
-              trace->record(q, obs::EventKind::kMapAlloc, d, 0, 0,
-                            plan.graph->data(d).size_bytes);
-            }
-            trace->record(q, obs::EventKind::kMapEnd, me.pos);
-            trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
-                          me.memory->in_use_bytes());
-            trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
-                          me.memory->peak_bytes());
-          }
-          for (const auto& [dest, pkg] : map.packages) {
-            if (!send_addr_package_blocking(q, dest, pkg)) return;
-          }
-          bump_progress();
+        if (me.next_step < me.mem->steps.size() &&
+            me.mem->steps[me.next_step].pos == me.pos) {
+          if (!apply_map_step(q)) return;
           backoff.reset();
           continue;
         }
@@ -398,9 +427,6 @@ void Impl::worker(ProcId q) {
         traced_pause(q, backoff, seen);
       }
     }
-  } catch (const NonExecutableError& e) {
-    set_state(q, ProcState::kFailed);
-    fail(q, e.what(), FailureKind::kNonExecutable);
   } catch (const InjectedFaultError& e) {
     set_state(q, ProcState::kFailed);
     fail(q, cat("processor ", q, ": ", e.what()),
@@ -419,7 +445,13 @@ void Impl::worker(ProcId q) {
 /// Rank q's counter block with its end-of-run peak bytes filled in.
 const CounterBlock& Impl::finished_counters(ProcId q) {
   Private& me = priv[q];
-  me.ctr[kCtrPeakBytes] = me.memory ? me.memory->peak_bytes() : 0;
+  if (me.mem == nullptr) {
+    me.ctr[kCtrPeakBytes] = 0;
+  } else {
+    me.ctr[kCtrPeakBytes] = me.next_step == 0
+                                ? me.mem->initial_peak
+                                : me.mem->steps[me.next_step - 1].peak;
+  }
   return me.ctr;
 }
 
@@ -452,42 +484,16 @@ void Impl::attach_transport(ShmTransport& transport) {
   }
 }
 
-/// Rank q's plan-derived private state: the MAP engine and the
-/// owner/reader tables. A forked shm rank inherits it, so the coordinator's
-/// offsets are the worker's. Requires `win` to be populated. Throws
-/// NonExecutableError on capacity failure.
+/// Rank q's plan-derived private state: its memory plan and offset table
+/// (with the initial placements applied) and the owner/reader tables. A
+/// forked shm rank inherits it, so the coordinator's offsets are the
+/// worker's.
 void Impl::setup_proc_state(ProcId q) {
   Private& pr = priv[q];
-  pr.memory = std::make_unique<ProcMemory>(
-      plan, q, config.capacity_per_proc, /*alignment=*/8,
-      config.alloc_policy, config.slab_arena);
-  // Poison-fill freed volatile regions so a read through a stale address
-  // (use-after-free across MAP reuse) yields garbage that the numeric
-  // checks catch, not stale-but-plausible content — and reset the freed
-  // object's verification state so a recycled region is never trusted on
-  // the strength of a previous lifetime's checksum. The hook fires between
-  // a MAP's frees and its reallocations, and the protocol guarantees no put
-  // is in flight to a dead region (see docs/RUNTIME.md), so neither the
-  // memset nor the reset can race a sender. Only rank q runs q's MAPs (the
-  // coordinator of an shm run runs none). priv is sized once before the
-  // ranks start, so the captured pointers stay valid.
-  std::byte* heap = win[static_cast<std::size_t>(q)].heap;
-  Private* mine = &pr;
-  Impl* self = this;
-  pr.memory->set_free_hook(
-      [heap, mine, self, q](DataId d, mem::Offset off, std::int64_t size) {
-        if (kPoisonFreed && size > 0) {
-          std::memset(heap + off, 0xA5, static_cast<std::size_t>(size));
-        }
-        mine->verified_seq[d] = 0;
-        mine->rejected_seq[d] = 0;
-        // The hook fires on the owning rank inside its MAP, so recording
-        // here obeys the single-writer ring rule.
-        if (self->tracing) {
-          self->trace->record(q, obs::EventKind::kMapFree, d, 0, 0, size);
-        }
-      });
-  if (!config.active_memory) pr.memory->preallocate_all();
+  pr.mem = &memory->procs[static_cast<std::size_t>(q)];
+  pr.offsets.assign(static_cast<std::size_t>(plan.graph->num_data()),
+                    mem::kNullOffset);
+  for (const auto& [d, off] : pr.mem->initial) pr.offsets[d] = off;
   pr.current_version.assign(
       static_cast<std::size_t>(plan.graph->num_data()), 0);
   pr.known_addrs.assign(plan.procs[q].permanents.size() *
@@ -531,7 +537,7 @@ void Impl::setup_epochs_and_baseline() {
            plan.procs[reader].volatiles) {
         const ProcId owner = plan.graph->data(v.object).owner;
         addr_slot(priv[owner], v.object, reader) =
-            priv[reader].memory->offset_of(v.object);
+            offset_of(reader, v.object);
       }
     }
   }
@@ -542,9 +548,9 @@ void Impl::setup_epochs_and_baseline() {
 /// rule holds via the crew hand-off edge or the fork.
 void Impl::record_heap_baseline(ProcId q) {
   trace->record(q, obs::EventKind::kHeapSample, 0, 0, 0,
-                priv[q].memory->in_use_bytes());
+                priv[q].mem->initial_in_use);
   trace->record(q, obs::EventKind::kHeapPeak, 0, 0, 0,
-                priv[q].memory->peak_bytes());
+                priv[q].mem->initial_peak);
 }
 
 /// Run prologue shared by both backends: per-run state reset, the trace
@@ -571,22 +577,23 @@ RunReport Impl::begin_run() {
 }
 
 /// The setup both backends run after begin_run and before launching their
-/// ranks: attach `transport`, set up every rank's private state, the epoch
-/// counters and the baseline prefill, and (tracing) the heap baselines. A
-/// capacity failure found here is reported, never thrown: it returns false
-/// with `report` saying so.
+/// ranks: fetch the memory plan, attach `transport`, set up every rank's
+/// private state, the epoch counters and the baseline prefill, and
+/// (tracing) the heap baselines. A capacity the memory plan found
+/// non-executable is reported here, before any rank starts, never thrown:
+/// it returns false with `report` saying so.
 bool Impl::prepare_ranks(ShmTransport& transport, RunReport& report) {
-  attach_transport(transport);
-  try {
-    for (ProcId q = 0; q < plan.num_procs; ++q) setup_proc_state(q);
-  } catch (const NonExecutableError& e) {
+  memory = memory_plan(plan, config);
+  if (!memory->executable) {
     report.executable = false;
-    report.failure = e.what();
+    report.failure = memory->failure;
     report.failure_kind = FailureKind::kNonExecutable;
-    report.errors.push_back(e.what());
+    report.errors.push_back(memory->failure);
     last_report = report;
     return false;
   }
+  attach_transport(transport);
+  for (ProcId q = 0; q < plan.num_procs; ++q) setup_proc_state(q);
   setup_epochs_and_baseline();
   if (tracing) {
     for (ProcId q = 0; q < plan.num_procs; ++q) record_heap_baseline(q);
@@ -687,7 +694,7 @@ std::vector<std::byte> ThreadedExecutor::read_object(DataId d) const {
               "run() — the owner heaps hold no defined content yet");
   const ProcId owner = impl.plan.graph->data(d).owner;
   const std::int64_t size = impl.plan.graph->data(d).size_bytes;
-  const mem::Offset off = impl.priv[owner].memory->offset_of(d);
+  const mem::Offset off = impl.offset_of(owner, d);
   const std::byte* base =
       impl.win[static_cast<std::size_t>(owner)].heap + off;
   return std::vector<std::byte>(base, base + size);

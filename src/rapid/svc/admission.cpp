@@ -1,7 +1,6 @@
 #include "rapid/svc/admission.hpp"
 
 #include <memory>
-#include <utility>
 
 #include "rapid/rt/map_engine.hpp"
 #include "rapid/support/str.hpp"
@@ -10,36 +9,19 @@ namespace rapid::svc {
 
 RunDemand compute_demand(const rt::RunPlan& plan,
                          const rt::RunConfig& config) {
+  const std::shared_ptr<const rt::MemoryPlan> memory =
+      rt::memory_plan(plan, config);
   RunDemand demand;
-  demand.peak_bytes_per_proc.reserve(
-      static_cast<std::size_t>(plan.num_procs));
-  for (rt::ProcId p = 0; p < plan.num_procs; ++p) {
-    std::unique_ptr<rt::ProcMemory> memory;
-    try {
-      // Alignment 8 matches the threaded executor's arenas, so the replayed
-      // peaks are the bytes the real run will touch, not the Def. 5 lower
-      // bound.
-      memory = std::make_unique<rt::ProcMemory>(
-          plan, p, config.capacity_per_proc, /*alignment=*/8,
-          config.alloc_policy, config.slab_arena);
-      if (config.active_memory) {
-        const auto n =
-            static_cast<std::int32_t>(plan.procs[p].order.size());
-        for (std::int32_t pos = 0; pos < n; ++pos) {
-          if (!memory->needs_map(pos)) continue;
-          (void)memory->perform_map(pos);
-          ++demand.maps;
-        }
-      } else {
-        memory->preallocate_all();
-      }
-    } catch (const rt::NonExecutableError& e) {
-      demand.executable = false;
-      demand.failure = e.what();  // already names the processor/position
-      return demand;
-    }
-    demand.peak_bytes_per_proc.push_back(memory->peak_bytes());
-    demand.total_bytes += memory->peak_bytes();
+  if (!memory->executable) {
+    demand.executable = false;
+    demand.failure = memory->failure;
+    return demand;
+  }
+  for (const rt::ProcMemoryPlan& proc : memory->procs) {
+    demand.peak_bytes_per_proc.push_back(proc.peak_bytes);
+    demand.extent_bytes_per_proc.push_back(proc.extent_bytes);
+    demand.total_bytes += proc.peak_bytes;
+    demand.maps += static_cast<std::int64_t>(proc.steps.size());
   }
   return demand;
 }

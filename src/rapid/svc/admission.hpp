@@ -1,15 +1,16 @@
 // Capacity-budget admission control for the runtime service.
 //
 // The paper's Def. 5/6 make a run's memory footprint statically knowable:
-// replaying the MAP procedure symbolically (the same ProcMemory the
-// executor and the auditor use) yields each processor's exact peak heap
-// bytes before a single task runs. The service exploits that: a RunRequest
-// is admitted only after its *exact* byte need — the sum of per-processor
-// peaks under the run's own RunConfig (alignment 8, the threaded executor's
-// mode) — is computed and reserved against the service-wide budget, so
-// co-resident runs can never oversubscribe memory no matter how their MAPs
-// interleave. A run that cannot fit is refused *up front* with a structured
-// AdmissionReport naming the shortfall, never half-started.
+// the run's memory plan (rt::memory_plan, the MAP procedure replayed once
+// and memoized on the RunPlan — the same plan the executor's ranks then
+// apply) yields each processor's exact peak heap bytes before a single
+// task runs. The service exploits that: a RunRequest is admitted only after
+// its *exact* byte need — the sum of per-processor peaks under the run's
+// own RunConfig (alignment 8, the threaded executor's mode) — is computed
+// and reserved against the service-wide budget, so co-resident runs can
+// never oversubscribe memory no matter how their MAPs interleave. A run
+// that cannot fit is refused *up front* with a structured AdmissionReport
+// naming the shortfall, never half-started.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,7 @@
 
 namespace rapid::svc {
 
-/// Exact memory demand of one run, from the symbolic MAP replay.
+/// Exact memory demand of one run: a summary of its memory plan.
 struct RunDemand {
   /// False when the plan is non-executable under the request's
   /// capacity_per_proc (Def. 6) — `failure` names the first failing
@@ -32,17 +33,22 @@ struct RunDemand {
   /// Peak arena bytes per processor over the whole replay (permanents plus
   /// the worst live volatile set, at the executor's 8-byte alignment).
   std::vector<std::int64_t> peak_bytes_per_proc;
+  /// Largest offset + rounded size ever placed, per processor: the heap
+  /// bytes a run touches (>= the peak, by the fragmentation). Reported, not
+  /// reserved.
+  std::vector<std::int64_t> extent_bytes_per_proc;
   /// Sum of the per-processor peaks: the bytes the service reserves.
   std::int64_t total_bytes = 0;
-  /// MAPs the replay performed (plan-cache telemetry; 0 in baseline mode).
+  /// MAPs in the memory plan (plan-cache telemetry; 0 in baseline mode).
   std::int64_t maps = 0;
 };
 
-/// Replays the MAP procedure for every processor of `plan` under `config`
-/// (active or baseline, the request's allocation policy and slab flag, the
-/// threaded executor's 8-byte alignment) and returns the exact demand.
-/// Never throws on capacity failure — that comes back as
-/// executable == false so admission can reject with a structured report.
+/// Summarizes the memory plan of `plan` under `config` (active or baseline,
+/// the request's allocation policy and slab flag, the threaded executor's
+/// 8-byte alignment) as the exact demand. Fills the plan's memo, so the
+/// executor that later runs `plan` under `config` reuses it. Never throws
+/// on capacity failure — that comes back as executable == false so
+/// admission can reject with a structured report.
 RunDemand compute_demand(const rt::RunPlan& plan, const rt::RunConfig& config);
 
 /// The admission decision for one submitted run.

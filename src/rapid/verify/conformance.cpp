@@ -143,20 +143,16 @@ class Checker {
           replay_ok_[static_cast<std::size_t>(p)] = true;
           continue;
         }
-        std::int64_t freed_bytes = 0;
-        memory->set_free_hook(
-            [&freed_bytes](rt::DataId, mem::Offset, std::int64_t size) {
-              freed_bytes += size;
-            });
         const auto n =
             static_cast<std::int32_t>(plan_.procs[p].order.size());
         for (std::int32_t pos = 0; pos < n; ++pos) {
           if (!memory->needs_map(pos)) continue;
-          freed_bytes = 0;
           const rt::MapResult map = memory->perform_map(pos);
           MapExpect e;
           e.pos = pos;
-          e.freed_bytes = freed_bytes;
+          for (const rt::DataId d : map.freed) {
+            e.freed_bytes += plan_.graph->data(d).size_bytes;
+          }
           for (const rt::DataId d : map.allocated) {
             e.alloc_bytes += plan_.graph->data(d).size_bytes;
           }

@@ -353,7 +353,8 @@ int main(int argc, char** argv) {
             runs.push_back(std::move(frun));
           }
           std::printf("%-42s checked x%lld seeds\n",
-                      cat(name, "/threaded ", preset, " sweep").c_str(),
+                      cat(name, "/threaded", shm ? "+shm " : " ", preset,
+                          " sweep").c_str(),
                       static_cast<long long>(flags.get_int("seeds")));
         }
       }

@@ -6,9 +6,13 @@
 #include <thread>
 
 #include "counter_app.hpp"
+#include "rapid/num/shm_workloads.hpp"
+#include "rapid/rt/map_engine.hpp"
 #include "rapid/rt/threaded_executor.hpp"
 #include "rapid/sched/liveness.hpp"
 #include "rapid/support/check.hpp"
+#include "rapid/svc/admission.hpp"
+#include "tsan.hpp"
 
 namespace rapid::rt {
 namespace {
@@ -57,6 +61,64 @@ TEST(ThreadedExecutor, ReportsNonExecutableBelowMinMem) {
   const RunReport r = exec.run();
   EXPECT_FALSE(r.executable);
   EXPECT_FALSE(r.failure.empty());
+}
+
+TEST(ThreadedExecutor, BackToBackExecutorsShareOneMemoryPlan) {
+  CounterApp app(2);
+  const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
+  const RunConfig config = app.config(liveness.min_mem());
+  const std::shared_ptr<const MemoryPlan> before =
+      memory_plan(app.plan, config);
+  for (int round = 0; round < 2; ++round) {
+    ThreadedExecutor exec(app.plan, config, app.make_init(),
+                          app.make_body());
+    ASSERT_TRUE(exec.run().executable);
+    check_results(app, exec);
+    // The executor holds the memoized plan (this test, the memo slot and
+    // the executor own it), not a private rebuild...
+    EXPECT_EQ(before.use_count(), 3) << "round " << round;
+    // ...and a rebuild would have replaced the memo with a new object.
+    EXPECT_EQ(memory_plan(app.plan, config), before) << "round " << round;
+  }
+  const RunConfig wider = app.config(liveness.tot_mem());
+  ThreadedExecutor exec(app.plan, wider, app.make_init(), app.make_body());
+  ASSERT_TRUE(exec.run().executable);
+  const std::shared_ptr<const MemoryPlan> after = memory_plan(app.plan, wider);
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after->capacity_per_proc, liveness.tot_mem());
+}
+
+/// A capacity whose MAPs fail partway through the run is reported before
+/// any rank starts: no task runs, and the failure is admission's text.
+TEST(ThreadedExecutor, NonExecutableIsReportedBeforeAnyRankStarts) {
+  const auto wl = num::build_shm_workload(
+      "cholesky:matrix=bcsstk24,scale=0.25,block=6,procs=4,sched=dts");
+  RunConfig config;
+  config.params = machine::MachineParams::cray_t3d(wl->plan.num_procs);
+  config.capacity_per_proc = wl->min_mem - 8;
+  const svc::RunDemand demand = svc::compute_demand(wl->plan, config);
+  ASSERT_FALSE(demand.executable);
+  // A MAP failure, not a permanent overflow: ranks that started would run
+  // tasks before it.
+  ASSERT_NE(demand.failure.find("cannot allocate volatile inputs"),
+            std::string::npos)
+      << demand.failure;
+  for (const TransportKind transport :
+       {TransportKind::kInProc, TransportKind::kShm}) {
+    if (RAPID_UNDER_TSAN && transport == TransportKind::kShm) continue;
+    ThreadedOptions options;
+    options.transport = transport;
+    ThreadedExecutor exec(wl->plan, config, wl->make_init(),
+                          wl->make_body(), options);
+    const RunReport r = exec.run();
+    EXPECT_FALSE(r.executable) << to_string(transport);
+    EXPECT_EQ(r.failure_kind, FailureKind::kNonExecutable)
+        << to_string(transport);
+    EXPECT_EQ(r.failure, demand.failure) << to_string(transport);
+    EXPECT_EQ(r.errors, std::vector<std::string>{demand.failure})
+        << to_string(transport);
+    EXPECT_EQ(r.tasks_executed, 0) << to_string(transport);
+  }
 }
 
 TEST(ThreadedExecutor, BaselineModeMatches) {
